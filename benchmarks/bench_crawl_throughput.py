@@ -20,10 +20,12 @@ from repro.web.generator import WebGenerator
 def test_crawl_throughput(benchmark, world):
     """Steady-state crawl throughput (visits/sec) over the shared world.
 
-    ``warmup_rounds=1`` runs one untimed campaign first so the timed round
-    measures the simulator's steady state: the world's visit-plan cache is
-    populated once per process and shared by every campaign over it, and
-    the warm path is what shard workers run for all but the first visits.
+    ``warmup_rounds=1`` runs one untimed campaign first, so the timed
+    round replays visit plans the warm-up already compiled: the gated
+    figure is a *warm* figure.  A cold crawl — every CLI run, where each
+    of ~50k domains is visited once per phase — compiles nearly every
+    visit's plan on the spot; the repository benchmark's ``paper-study``
+    workload measures that cold path.
     """
     campaign = CrawlCampaign(world, corrupt_allowlist=True, limit=2_000)
     result = benchmark.pedantic(

@@ -24,6 +24,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -102,6 +104,25 @@ def gated_rates(results: dict) -> dict[str, float]:
     return rates
 
 
+def current_commit() -> str | None:
+    """The commit being measured: ``GITHUB_SHA`` when set, else the
+    repository's ``git rev-parse HEAD``; None outside a git checkout."""
+    sha = os.environ.get("GITHUB_SHA")
+    if sha:
+        return sha
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=_REPO_ROOT,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return result.stdout.strip() or None
+
+
 def append_history(
     history_path: Path, measured: dict[str, float], baseline: dict
 ) -> int:
@@ -110,8 +131,11 @@ def append_history(
     The whole file is rewritten atomically (read, extend, rename) via
     :func:`repro.util.fsio.atomic_write_lines`, so a crash mid-append
     can never leave a torn line for the report portal to choke on.
-    Returns the number of records appended.
+    Each record names the commit (:func:`current_commit`) and the Python
+    version it was measured on.  Returns the number of records appended.
     """
+    commit = current_commit()
+    python = platform.python_version()
     lines: list[str] = []
     if history_path.exists():
         lines = [
@@ -126,7 +150,8 @@ def append_history(
             metric: round(rate, 3),
             "metric": metric,
             "baseline": baseline.get(name),
-            "commit": os.environ.get("GITHUB_SHA") or None,
+            "commit": commit,
+            "python": python,
         }
         lines.append(json.dumps(record, sort_keys=True))
     history_path.parent.mkdir(parents=True, exist_ok=True)

@@ -7,8 +7,8 @@ with which call type and how many repeats — all of it is a stable
 function of world data.  The legacy :meth:`Browser.visit` recomputes
 every bit of it on every visit, which dominates the shard inner loop.
 
-A :class:`VisitPlanner` walks the page **once** per (domain, consent)
-variant and bakes the result into a :class:`SitePlan`:
+A :class:`VisitPlanner` compiles each (domain, consent) variant **once**,
+on the first visit that needs it, into a :class:`SitePlan`:
 
 * the static fetch surface — URL strings for the browser cache, the
   loaded-host set and the third-party registrable set, pre-frozen (and
@@ -20,6 +20,10 @@ variant and bakes the result into a :class:`SitePlan`:
 * an ordered op list for the state-mutating work that must run per
   visit: cookie-tracking impressions and Topics API invocations, with
   caller host / call type / repeat count resolved ahead of time.
+
+Variants compile independently: the crawl visits every reachable domain
+Before-Accept but only the accepted ones After-Accept, so an After-Accept
+plan is built only for a domain the crawl actually accepted.
 
 Plans bake **no per-profile state**: browsing history, the cookie jar,
 allow-list gating, epoch topic selection and the clock all flow through
@@ -48,6 +52,13 @@ if TYPE_CHECKING:
     from repro.web.banner import ConsentBanner
     from repro.web.generator import SyntheticWeb
     from repro.web.site import Website
+    from repro.web.thirdparty import ThirdParty
+
+_GTM_HOST = f"www.{GTM_DOMAIN}"
+_GTM_URL = f"https://{_GTM_HOST}/gtm.js?id=GTM-XXXX"
+_LIB_DOMAIN = "adwidgets-lib.com"
+_LIB_HOST = f"cdn.{_LIB_DOMAIN}"
+_LIB_URL = f"https://{_LIB_HOST}/widget/loader.js"
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,6 +100,18 @@ class PlannedOp:
     caller: str = ""
 
 
+def _rogue_op(caller_host: str, count: int) -> PlannedOp:
+    """A first-party-context ``document.browsingTopics()`` burst."""
+    return PlannedOp(
+        call=PlannedCall(
+            caller_host=caller_host,
+            call_type=ApiCallType.JAVASCRIPT,
+            count=count,
+            javascript=True,
+        )
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class SitePlan:
     """Everything a visit to one (domain, consent) variant does."""
@@ -112,46 +135,61 @@ class SitePlan:
     cmp_rescan: bool = False
 
 
+@dataclass(frozen=True, slots=True)
+class _Embed:
+    """A third party's site-independent facts, resolved once per planner."""
+
+    #: the catalogue entry when its tag waits for consent, else None
+    gated_service: "ThirdParty | None"
+    tag_manager: bool
+    ads: bool
+    host: str
+    url: str
+    policy: TopicsPolicy | None
+    #: the op of an ad tag that loads but does not call (shared)
+    impression: PlannedOp
+
+
 class VisitPlanner:
     """Per-world, per-script-origin-mode cache of :class:`SitePlan`s.
 
     Shared by every browser over one world (serial shards, all threads,
     and — via the worker world cache — every campaign a worker process
-    runs), so each (domain, consent) page is walked exactly once per
-    process instead of once per visit.
+    runs), so each (domain, consent) variant is compiled at most once per
+    process, and only if some visit asks for it.
     """
 
     def __init__(self, world: "SyntheticWeb", mode: ScriptOriginMode) -> None:
         self._world = world
         self._mode = mode
-        self._pairs: dict[str, tuple[SitePlan, SitePlan]] = {}
+        self._plans: dict[tuple[str, bool], SitePlan] = {}
+        self._embeds: dict[str, _Embed] = {}
 
     def plan_for(self, domain: str, consent_granted: bool) -> SitePlan:
-        """The (Before-Accept, After-Accept) plan for ``domain``'s page.
+        """The plan of ``domain``'s page in one consent state.
 
-        Both consent variants are compiled together in one pass over the
-        site's tag list — the crawl protocol visits each domain once per
-        phase, so a per-variant cache would rebuild the shared surface
-        twice and never hit within a campaign.
+        Compiled on the first request for that (domain, consent) variant
+        and cached for the world's lifetime; the other variant is not
+        touched.
         """
-        pair = self._pairs.get(domain)
-        if pair is None:
-            # setdefault keeps the first builder's pair under concurrent
+        key = (domain, consent_granted)
+        plan = self._plans.get(key)
+        if plan is None:
+            # setdefault keeps the first builder's plan under concurrent
             # thread-backend races; both builds are identical anyway.
-            pair = self._pairs.setdefault(domain, self._compile_pair(domain))
-        return pair[1] if consent_granted else pair[0]
+            plan = self._plans.setdefault(key, self._compile(domain, consent_granted))
+        return plan
 
     # -- direct compilation (the hot path) -------------------------------------
     #
-    # ``_compile_pair`` goes straight from ``Website`` fields to both
-    # SitePlans without materialising PageModel/ScriptTag/Url objects —
-    # it mirrors ``Website.build_page`` plus the page walk in ``_build``
-    # tag for tag.  ``_build`` below stays as the reference
-    # implementation; ``tests/test_visit_plan.py`` pins compile ≡ walk
-    # for every site of a generated world, so the two cannot drift
-    # silently.
+    # ``_compile_final`` goes straight from ``Website`` fields to one
+    # SitePlan without materialising PageModel/ScriptTag/Url objects — it
+    # mirrors ``Website.build_page`` plus the page walk in ``_build`` tag
+    # for tag.  ``_build`` below stays as the reference implementation;
+    # ``tests/test_visit_plan.py`` pins compile ≡ walk for every site of a
+    # generated world, so the two cannot drift silently.
 
-    def _compile_pair(self, domain: str) -> tuple[SitePlan, SitePlan]:
+    def _compile(self, domain: str, consent: bool) -> SitePlan:
         world = self._world
         site = world.site(domain)
         if "build_page" in vars(site) or (
@@ -160,25 +198,43 @@ class VisitPlanner:
         ):
             # The site carries a hand-patched page builder (test worlds
             # splice these in); only the page walk can see what it adds.
-            return (self._build(domain, False), self._build(domain, True))
-        if site.redirect_to is not None:
-            final = world.site(site.redirect_to)
-            if final.redirect_to is None:
-                # Share the target's cached pair; only the requested URL
-                # differs.  (Redirect chains fall through to a direct
-                # compile because a second hop would change the page.)
-                target = self._pairs.get(final.domain)
-                if target is None:
-                    target = self._pairs.setdefault(
-                        final.domain, self._compile_pair(final.domain)
-                    )
-            else:
-                target = self._compile_final(final)
-            url = f"https://www.{site.domain}/"
-            return (replace(target[0], url=url), replace(target[1], url=url))
-        return self._compile_final(site)
+            return self._build(domain, consent)
+        if site.redirect_to is None:
+            return self._compile_final(site, consent)
+        final = world.site(site.redirect_to)
+        if final.redirect_to is None:
+            # Share the target's cached plan; only the requested URL
+            # differs.  (Redirect chains fall through to a direct compile
+            # because a second hop would change the page.)
+            key = (final.domain, consent)
+            target = self._plans.get(key)
+            if target is None:
+                target = self._plans.setdefault(
+                    key, self._compile_final(final, consent)
+                )
+        else:
+            target = self._compile_final(final, consent)
+        return replace(target, url=f"https://www.{site.domain}/")
 
-    def _compile_final(self, site: "Website") -> tuple[SitePlan, SitePlan]:
+    def _embed(self, tp_domain: str) -> _Embed:
+        world = self._world
+        service = world.third_parties.get(tp_domain)
+        category = service.category if service else ThirdPartyCategory.WIDGET
+        host = f"static.{tp_domain}"
+        return self._embeds.setdefault(
+            tp_domain,
+            _Embed(
+                gated_service=service if service and service.consent_gated else None,
+                tag_manager=category is ThirdPartyCategory.TAG_MANAGER,
+                ads=category is ThirdPartyCategory.ADS,
+                host=host,
+                url=f"https://{host}{SCRIPT_PATHS[category]}",
+                policy=world.policy_of(tp_domain),
+                impression=PlannedOp(impression_host=host),
+            ),
+        )
+
+    def _compile_final(self, site: "Website", consent: bool) -> SitePlan:
         # Registrable domains are tracked alongside hosts instead of being
         # re-derived per host at assembly: every host the compiler emits
         # has a known eTLD+1 by construction (``static.{tp}`` → ``tp``,
@@ -190,216 +246,117 @@ class VisitPlanner:
         page_host = f"www.{page_domain}"
         page_url = f"https://{page_host}/"
         banner = site.banner
-        enforce = site.gates_before_consent
-        script_url_mode = self._mode is ScriptOriginMode.SCRIPT_URL
-        services = world.third_parties
         rogue = site.rogue
+        rogue_fires = rogue is not None and (consent or rogue.fires_before_consent)
+        script_url_mode = self._mode is ScriptOriginMode.SCRIPT_URL
 
-        urls_ba = [
-            page_url,
-            f"{page_url}static/site.css",
-            f"{page_url}static/logo.png",
-        ]
-        urls_aa = list(urls_ba)
-        hosts_ba = {page_host}
-        hosts_aa = {page_host}
-        regs_ba = {page_domain}
-        regs_aa = {page_domain}
-        ops_ba: list[PlannedOp] = []
-        ops_aa: list[PlannedOp] = []
-        conditional_aa = False
-        multiplier = self._environment_multiplier(page_domain)
+        urls = [page_url, f"{page_url}static/site.css", f"{page_url}static/logo.png"]
+        hosts = {page_host}
+        regs = {page_domain}
+        ops: list[PlannedOp] = []
+        conditional = False
+        enforce = site.gates_before_consent
+        multiplier = None if consent else self._environment_multiplier(page_domain)
 
         if banner is not None and banner.cmp is not None:
             cmp_domain = world.cmp_domain(banner.cmp)
             cmp_host = f"cdn.{cmp_domain}"
-            cmp_url = f"https://{cmp_host}/cmp/stub.js"
-            urls_ba.append(cmp_url)
-            urls_aa.append(cmp_url)
-            hosts_ba.add(cmp_host)
-            hosts_aa.add(cmp_host)
-            regs_ba.add(cmp_domain)
-            regs_aa.add(cmp_domain)
+            urls.append(f"https://{cmp_host}/cmp/stub.js")
+            hosts.add(cmp_host)
+            regs.add(cmp_domain)
 
+        embeds = self._embeds
         for tp_domain in site.embedded:
-            service = services.get(tp_domain)
-            category = (
-                service.category if service else ThirdPartyCategory.WIDGET
-            )
-            if category is ThirdPartyCategory.TAG_MANAGER:
-                gtm_url = "https://www.googletagmanager.com/gtm.js?id=GTM-XXXX"
-                urls_ba.append(gtm_url)
-                urls_aa.append(gtm_url)
-                hosts_ba.add("www.googletagmanager.com")
-                hosts_aa.add("www.googletagmanager.com")
-                regs_ba.add(GTM_DOMAIN)
-                regs_aa.add(GTM_DOMAIN)
+            embed = embeds.get(tp_domain) or self._embed(tp_domain)
+            if embed.tag_manager:
+                urls.append(_GTM_URL)
+                hosts.add(_GTM_HOST)
+                regs.add(GTM_DOMAIN)
                 if (
-                    rogue is not None
+                    rogue_fires
                     and rogue.variant is RogueVariant.ROOT_GTM
                     and tp_domain == GTM_DOMAIN
                 ):
-                    caller_host = (
-                        "www.googletagmanager.com" if script_url_mode else page_host
-                    )
-                    op = PlannedOp(
-                        call=PlannedCall(
-                            caller_host=caller_host,
-                            call_type=ApiCallType.JAVASCRIPT,
-                            count=rogue.call_count,
-                            javascript=True,
-                        )
-                    )
-                    ops_aa.append(op)
-                    if rogue.fires_before_consent:
-                        ops_ba.append(op)
+                    caller_host = _GTM_HOST if script_url_mode else page_host
+                    ops.append(_rogue_op(caller_host, rogue.call_count))
                 continue
 
-            gated = bool(service and service.consent_gated) and (
-                enforce or not service.loads_preconsent_on(page_domain)
-            )
-            host = f"static.{tp_domain}"
-            url = f"https://{host}{SCRIPT_PATHS[category]}"
-            if not gated:
-                urls_ba.append(url)
-                hosts_ba.add(host)
-                regs_ba.add(tp_domain)
-            urls_aa.append(url)
-            hosts_aa.add(host)
-            regs_aa.add(tp_domain)
-            if category is not ThirdPartyCategory.ADS:
+            service = embed.gated_service
+            if (
+                not consent
+                and service is not None
+                and (enforce or not service.loads_preconsent_on(page_domain))
+            ):
+                continue  # the tag waits for consent
+            urls.append(embed.url)
+            hosts.add(embed.host)
+            regs.add(tp_domain)
+            if not embed.ads:
                 continue
-
-            caller = tp_domain
-            policy = world.policy_of(caller)
+            policy = embed.policy
             if policy is None:
-                op = PlannedOp(impression_host=host)
-                if not gated:
-                    ops_ba.append(op)
-                ops_aa.append(op)
+                ops.append(embed.impression)
                 continue
-            # Decide first, resolve the call shape (two more digests)
-            # only for tags that actually fire somewhere.
-            alternating = policy.alternating_period is not None
-            aa_fires = False if alternating else policy.is_enabled(
-                caller, page_domain, 0
-            )
-            ba_fires = not gated and policy.calls_in_before_accept(
-                caller, page_domain, multiplier
-            )
-            call = (
-                self._planned_ad_call(policy, caller, page_domain)
-                if (alternating or aa_fires or ba_fires)
-                else None
-            )
-            if alternating:
-                ops_aa.append(
+            if consent and policy.alternating_period is not None:
+                # The ON/OFF window depends on the visit clock: bake the
+                # call shape, defer the fire decision.
+                ops.append(
                     PlannedOp(
-                        impression_host=host,
-                        call=call,
+                        impression_host=embed.host,
+                        call=self._planned_ad_call(policy, tp_domain, page_domain),
                         policy=policy,
-                        caller=caller,
+                        caller=tp_domain,
                     )
                 )
-                conditional_aa = True
-            elif aa_fires:
-                urls_aa.append(call.fetch_url)
-                hosts_aa.add(call.fetch_host)
-                regs_aa.add(caller)
-                ops_aa.append(PlannedOp(impression_host=host, call=call))
+                conditional = True
+                continue
+            if consent:
+                # now is unused for non-alternating policies (window="static")
+                fires = policy.is_enabled(tp_domain, page_domain, 0)
             else:
-                ops_aa.append(PlannedOp(impression_host=host))
-            if not gated:
-                if ba_fires:
-                    urls_ba.append(call.fetch_url)
-                    hosts_ba.add(call.fetch_host)
-                    regs_ba.add(caller)
-                    ops_ba.append(PlannedOp(impression_host=host, call=call))
-                else:
-                    ops_ba.append(PlannedOp(impression_host=host))
+                fires = policy.calls_in_before_accept(
+                    tp_domain, page_domain, multiplier
+                )
+            if not fires:
+                ops.append(embed.impression)
+                continue
+            call = self._planned_ad_call(policy, tp_domain, page_domain)
+            urls.append(call.fetch_url)
+            hosts.add(call.fetch_host)
+            regs.add(tp_domain)
+            ops.append(PlannedOp(impression_host=embed.host, call=call))
 
-        if rogue is not None:
-            if rogue.variant is RogueVariant.ROOT_LIB:
-                lib_url = "https://cdn.adwidgets-lib.com/widget/loader.js"
-                urls_ba.append(lib_url)
-                urls_aa.append(lib_url)
-                hosts_ba.add("cdn.adwidgets-lib.com")
-                hosts_aa.add("cdn.adwidgets-lib.com")
-                regs_ba.add("adwidgets-lib.com")
-                regs_aa.add("adwidgets-lib.com")
-                caller_host = (
-                    "cdn.adwidgets-lib.com" if script_url_mode else page_host
-                )
-                op = PlannedOp(
-                    call=PlannedCall(
-                        caller_host=caller_host,
-                        call_type=ApiCallType.JAVASCRIPT,
-                        count=rogue.call_count,
-                        javascript=True,
-                    )
-                )
-                ops_aa.append(op)
-                if rogue.fires_before_consent:
-                    ops_ba.append(op)
-            elif rogue.variant in (RogueVariant.SIBLING, RogueVariant.ENTITY):
-                frame_host = rogue.caller_host
-                frame_reg = etld_plus_one(frame_host)
-                frame_url = f"https://{frame_host}/embed/frame.html"
-                inner_url = f"https://{frame_host}/embed/inner.js"
-                urls_ba.extend((frame_url, inner_url))
-                urls_aa.extend((frame_url, inner_url))
-                hosts_ba.add(frame_host)
-                hosts_aa.add(frame_host)
-                regs_ba.add(frame_reg)
-                regs_aa.add(frame_reg)
+        if rogue is not None and rogue.variant is RogueVariant.ROOT_LIB:
+            urls.append(_LIB_URL)
+            hosts.add(_LIB_HOST)
+            regs.add(_LIB_DOMAIN)
+            if rogue_fires:
+                caller_host = _LIB_HOST if script_url_mode else page_host
+                ops.append(_rogue_op(caller_host, rogue.call_count))
+        elif rogue is not None and rogue.variant in (
+            RogueVariant.SIBLING,
+            RogueVariant.ENTITY,
+        ):
+            frame_host = rogue.caller_host
+            urls.append(f"https://{frame_host}/embed/frame.html")
+            urls.append(f"https://{frame_host}/embed/inner.js")
+            hosts.add(frame_host)
+            regs.add(etld_plus_one(frame_host))
+            if rogue_fires:
                 # Both script-origin modes resolve to the frame host: the
                 # inner tag's src host equals the frame's.
-                op = PlannedOp(
-                    call=PlannedCall(
-                        caller_host=frame_host,
-                        call_type=ApiCallType.JAVASCRIPT,
-                        count=rogue.call_count,
-                        javascript=True,
-                    )
-                )
-                ops_aa.append(op)
-                if rogue.fires_before_consent:
-                    ops_ba.append(op)
+                ops.append(_rogue_op(frame_host, rogue.call_count))
 
-        return (
-            self._assemble(
-                page_domain, page_url, banner, urls_ba, hosts_ba, regs_ba,
-                ops_ba, False,
-            ),
-            self._assemble(
-                page_domain, page_url, banner, urls_aa, hosts_aa, regs_aa,
-                ops_aa, conditional_aa,
-            ),
-        )
-
-    def _assemble(
-        self,
-        page_domain: str,
-        page_url: str,
-        banner: "ConsentBanner | None",
-        urls: list[str],
-        hosts: set[str],
-        registrables: set[str],
-        ops: list[PlannedOp],
-        conditional: bool,
-    ) -> SitePlan:
-        third_parties = set(registrables)
-        third_parties.discard(page_domain)
-        cmp_name = self._world.cmps.detect_from_registrables(registrables)
+        third_parties = regs - {page_domain}
+        cmps = world.cmps
+        cmp_name = cmps.detect_from_registrables(regs)
         cmp_rescan = False
         if conditional:
-            with_fired = set(registrables)
+            with_fired = set(regs)
             for op in ops:
                 if op.policy is not None and op.call is not None:
                     with_fired.add(op.caller)
-            cmp_rescan = (
-                self._world.cmps.detect_from_registrables(with_fired) != cmp_name
-            )
+            cmp_rescan = cmps.detect_from_registrables(with_fired) != cmp_name
         return SitePlan(
             page_domain=page_domain,
             url=page_url,
@@ -606,16 +563,7 @@ class VisitPlanner:
             # Real platform behaviour: the embedding context's origin —
             # the page itself at root, the frame host inside an iframe.
             caller_host = context_host
-        ops.append(
-            PlannedOp(
-                call=PlannedCall(
-                    caller_host=caller_host,
-                    call_type=ApiCallType.JAVASCRIPT,
-                    count=tag.rogue_call_count,
-                    javascript=True,
-                )
-            )
-        )
+        ops.append(_rogue_op(caller_host, tag.rogue_call_count))
 
     def _environment_multiplier(self, page_domain: str) -> float:
         """Mirror of ScriptRuntime._consent_environment_multiplier."""

@@ -62,10 +62,10 @@ def stable_digest(*parts: str) -> int:
     Unlike ``hash()``, this never varies across runs, so classifier
     decisions keyed on hostnames are reproducible.
     """
-    # One C-level hash call over the same byte stream the incremental
-    # update loop fed (each part NUL-terminated) — this sits under every
-    # per-(caller, site) decision on the crawl hot path.
-    payload = b"".join(part.encode("utf-8") + b"\x00" for part in parts)
+    # One join, one encode and one C-level hash call over each part
+    # NUL-terminated — this sits under every per-(caller, site) decision
+    # on the crawl hot path.  Zero parts hash the empty payload.
+    payload = ("\x00".join(parts) + "\x00").encode() if parts else b""
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
 

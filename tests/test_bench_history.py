@@ -8,6 +8,8 @@ line from a crashed run.
 
 import importlib.util
 import json
+import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -78,6 +80,49 @@ class TestAppendHistory:
         history = tmp_path / "history.jsonl"
         gate.append_history(history, {"b": 1.0}, {})
         assert json.loads(history.read_text())["commit"] == "cafe1234"
+
+    def test_records_commit_from_git_without_env(
+        self, gate, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        checkout = tmp_path / "checkout"
+        checkout.mkdir()
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com"]
+        subprocess.run(git + ["init", "-q"], cwd=checkout, check=True)
+        subprocess.run(
+            git + ["commit", "-q", "--allow-empty", "-m", "seed"],
+            cwd=checkout,
+            check=True,
+        )
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=checkout,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        monkeypatch.setattr(gate, "_REPO_ROOT", checkout)
+        history = tmp_path / "history.jsonl"
+        gate.append_history(history, {"b": 1.0}, {})
+        assert json.loads(history.read_text())["commit"] == head
+
+    def test_records_null_commit_outside_git_checkout(
+        self, gate, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        # Stop git's upward search at tmp_path so an enclosing checkout
+        # cannot answer for it.
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        monkeypatch.setattr(gate, "_REPO_ROOT", tmp_path)
+        history = tmp_path / "history.jsonl"
+        gate.append_history(history, {"b": 1.0}, {})
+        assert json.loads(history.read_text())["commit"] is None
+
+    def test_records_python_version(self, gate, tmp_path):
+        history = tmp_path / "history.jsonl"
+        gate.append_history(history, {"b": 1.0}, {})
+        record = json.loads(history.read_text())
+        assert record["python"] == platform.python_version()
 
 
 class TestGateCli:

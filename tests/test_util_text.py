@@ -1,11 +1,14 @@
 """Unit tests for text helpers."""
 
+import pytest
+
 from repro.util.text import (
     contains_keyword,
     stable_digest,
     synthesize_name,
     tokens,
 )
+from repro.web.thirdparty import stable_fraction
 
 
 class TestTokens:
@@ -57,6 +60,36 @@ class TestStableDigest:
     def test_64_bit_range(self):
         digest = stable_digest("x")
         assert 0 <= digest < 2**64
+
+
+# Golden values: the first 8 bytes (big-endian) of SHA-256 over each part
+# UTF-8 encoded and NUL-terminated; zero parts hash b"" (the last case).  Every
+# generated world, plan decision and archive depends on these bytes, so
+# any change to how the payload is built must leave them untouched.
+_GOLDEN = [
+    (("x",), 1510999124567338456, 0.08191142667398019),
+    (("a", "b"), 10354354944025116997, 0.5613107062499028),
+    (
+        ("doubleclick.net", "news.com", "call"),
+        18086345617839763300,
+        0.9804627605592777,
+    ),
+    (("café", "ü日本"), 2746457490996758645, 0.14888575891888867),
+    (("",), 7940984811893783192, 0.43048164923648174),
+    (("", ""), 10854403881223488966, 0.5884184134528799),
+    (("a", "", "b"), 2167642372001204252, 0.11750812844476688),
+    ((), 16406829232824261652, 0.8894159948913374),
+]
+
+
+class TestStableDigestGolden:
+    @pytest.mark.parametrize(("parts", "digest", "fraction"), _GOLDEN)
+    def test_digest(self, parts, digest, fraction):
+        assert stable_digest(*parts) == digest
+
+    @pytest.mark.parametrize(("parts", "digest", "fraction"), _GOLDEN)
+    def test_fraction(self, parts, digest, fraction):
+        assert stable_fraction(*parts) == fraction
 
 
 class TestSynthesizeName:

@@ -1,12 +1,13 @@
 """Visit-plan fast path: compiled plans ≡ the page-walk reference.
 
-``VisitPlanner._compile_pair`` builds both consent variants of a site's
+``VisitPlanner._compile_final`` builds one consent variant of a site's
 plan directly from ``Website`` fields; ``VisitPlanner._build`` is the
 retained reference implementation that materialises the page and walks
 its tags.  These tests pin the two equal for every site of a generated
-world (both script-origin modes, both consent states) and pin the
+world (both script-origin modes, both consent states), pin the
 fast-path campaign byte-equal to the instrumented legacy-path campaign,
-so neither builder can drift silently.
+so neither builder can drift silently, and pin that a crawl compiles
+After-Accept plans only for the domains it accepted.
 """
 
 import pytest
@@ -79,3 +80,34 @@ class TestFastPathCampaignEquivalence:
         assert (
             fast.survey.attested_domains() == legacy.survey.attested_domains()
         )
+
+
+class TestLazyConsentVariants:
+    def test_after_accept_plans_only_for_accepted_domains(self):
+        world = WebGenerator(WorldConfig.small(300, seed=31)).generate()
+        result = CrawlCampaign(world).run()
+        planner = world.visit_planner(ScriptOriginMode.EMBEDDER)
+
+        reached = {record.domain for record in result.d_ba.records}
+        accepted = {
+            record.domain for record in result.d_ba.records if record.accept_clicked
+        }
+        after_accept = {domain for domain, consent in planner._plans if consent}
+        # Single-hop redirects compile their target's plan for the same
+        # consent state and share it.
+        redirect_targets = {
+            world.site(domain).redirect_to
+            for domain in accepted
+            if world.site(domain).redirect_to is not None
+        }
+        assert accepted and redirect_targets
+        assert {record.domain for record in result.d_aa.records} <= after_accept
+        assert after_accept <= accepted | redirect_targets
+
+        before_only = reached - accepted - redirect_targets
+        failed = {domain for _, domain in world.tranco} - reached
+        assert before_only and failed
+        assert not after_accept & before_only
+        assert not after_accept & (failed - redirect_targets)
+        before_accept = {domain for domain, consent in planner._plans if not consent}
+        assert len(after_accept) < len(before_accept)
