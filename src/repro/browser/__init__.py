@@ -1,10 +1,10 @@
 """The browser simulator.
 
 A faithful, minimal stand-in for the paper's instrumented Chromium: page
-loading with a network log (:mod:`repro.browser.network`), a browsing
+loading with a browser cache (:mod:`repro.browser.network`), a browsing
 context tree with HTML-spec origin semantics (:mod:`repro.browser.context`),
-a script runtime executing third-party behaviours including Google Tag
-Manager's rogue root-context call (:mod:`repro.browser.script`), and a full
+compiled visit plans executing third-party behaviours including Google Tag
+Manager's rogue root-context call (:mod:`repro.browser.plan`), and a full
 Topics API implementation with the instrumentation hook the paper added to
 ``BrowsingTopicsSiteDataManagerImpl`` (:mod:`repro.browser.topics`).
 """

@@ -5,7 +5,10 @@ browsing history, the (possibly deliberately corrupted) enrolment
 allow-list database, the cache, the consent ledger and the instrumented
 Topics manager.  :meth:`Browser.visit` performs one page load end to end —
 redirects, resource fetches, consent gating, script execution, iframe
-contexts — and returns everything the paper's crawler records about it.
+contexts — by replaying the page's compiled
+:class:`~repro.browser.plan.SitePlan`, and returns everything the paper's
+crawler records about it.  Tracing, metrics and span recording only
+observe the replay; they never change which path a visit takes.
 """
 
 from __future__ import annotations
@@ -16,15 +19,13 @@ from typing import TYPE_CHECKING
 
 from repro.attestation.allowlist import AllowListDatabase
 from repro.browser.consent import ConsentLedger
-from repro.browser.context import root_context_for
+from repro.browser.context import ScriptOriginMode
 from repro.browser.cookies import Cookie, CookieJar, CookieTracker
-from repro.browser.network import BrowserCache, NetworkLog, NetworkStack
-from repro.browser.script import ScriptOriginMode, ScriptRuntime
+from repro.browser.network import BrowserCache, NetworkStack
 from repro.browser.failures import failure_kind_for
-from repro.browser.topics.api import TopicsApi
+from repro.browser.topics.api import instrument_topics_call
 from repro.browser.topics.manager import BrowsingTopicsSiteDataManager, TopicsApiCall
 from repro.browser.topics.selection import EpochTopicsSelector
-from repro.browser.topics.types import ApiCallType
 from repro.obs import (
     EventKind,
     NULL_METRICS,
@@ -67,19 +68,22 @@ class VisitOutcome:
     final_url: str = ""
     consent_granted: bool = False
     banner: ConsentBanner | None = None
-    loaded_hosts: frozenset[str] = frozenset()
-    third_party_domains: frozenset[str] = frozenset()
-    topics_calls: tuple[TopicsApiCall, ...] = ()
-    #: Plan-built visits carry their third parties pre-sorted and the CMP
-    #: pre-detected (both fixed per (site, consent) variant), sparing the
-    #: crawler a sort + detection pass per record.  ``detected_cmp`` is
-    #: only meaningful when ``third_parties_sorted`` is not None.
-    third_parties_sorted: tuple[str, ...] | None = None
+    #: every host the visit contacted, sorted
+    loaded_hosts: tuple[str, ...] = ()
+    #: registrable domains of the third parties the visit loaded, sorted
+    third_parties: tuple[str, ...] = ()
+    #: the CMP detected from the loaded hosts (Wappalyzer-style)
     detected_cmp: str | None = None
+    topics_calls: tuple[TopicsApiCall, ...] = ()
 
     @property
     def redirected(self) -> bool:
         return self.ok and self.final_domain != self.requested_domain
+
+    @property
+    def third_party_domains(self) -> frozenset[str]:
+        """Set view of :attr:`third_parties`."""
+        return frozenset(self.third_parties)
 
 
 class Browser:
@@ -128,22 +132,10 @@ class Browser:
             allowlist_db=self.allowlist_db,
             topics_enabled=topics_enabled,
         )
-        self._api = TopicsApi(self.topics_manager, tracer=tracer, metrics=metrics)
         self._network = NetworkStack(BrowserCache())
-        self._runtime = ScriptRuntime(
-            world, self._api, self._network, script_origin_mode, self.cookie_tracker
-        )
         self._visit_counter = 0
         self._failed_attempts: dict[str, int] = {}
-        # Visit-plan fast path: with all instrumentation off (no tracer,
-        # metrics or spans to feed per-stage events), visits execute from
-        # the world's precomputed SitePlans instead of re-walking pages.
-        # Stub worlds without a planner simply keep the legacy path.
-        self._planner = None
-        if not (tracer.enabled or metrics.enabled or spans.enabled):
-            planner_factory = getattr(world, "visit_planner", None)
-            if planner_factory is not None:
-                self._planner = planner_factory(script_origin_mode)
+        self._planner = world.visit_planner(script_origin_mode)
 
     # -- profile management --------------------------------------------------------
 
@@ -400,104 +392,35 @@ class Browser:
 
         if consent_granted is None:
             consent_granted = self.consent.is_granted(domain)
-
-        if self._planner is not None:
-            return self._planned_visit(domain, consent_granted)
-
-        final_site = site
-        if site.redirect_to is not None:
-            final_site = self._world.site(site.redirect_to)
-
-        page = final_site.build_page(self._world)
-        log = NetworkLog()
-        call_mark = self.topics_manager.call_count
-        now = self.clock.now()
-        page_domain = final_site.domain
-        fetches = 0
-        scripts_run = 0
-
-        self._network.fetch(page.url, page_domain, now, log)
-        fetches += 1
-        self.topics_manager.record_page_visit(page_domain, now)
-        root = root_context_for(page.url)
-
-        for resource in page.resources:
-            if resource.gated and not consent_granted:
-                continue
-            self._network.fetch(resource.src, page_domain, now, log)
-            fetches += 1
-
-        for tag in page.scripts:
-            if tag.gated and not consent_granted:
-                continue
-            self._network.fetch(tag.src, page_domain, now, log)
-            fetches += 1
-            self._runtime.execute(tag, root, consent_granted, now, log, page_domain)
-            scripts_run += 1
-
-        for frame in page.iframes:
-            if frame.gated and not consent_granted:
-                continue
-            self._network.fetch(frame.src, page_domain, now, log)
-            fetches += 1
-            if frame.browsingtopics_attr and self.topics_manager.topics_enabled:
-                child, _ = self._api.iframe_with_topics(root, frame.src, now)
-            else:
-                child = root.open_iframe(frame.src)
-            for inner in frame.scripts:
-                self._network.fetch(inner.src, page_domain, now, log)
-                fetches += 1
-                self._runtime.execute(
-                    inner, child, consent_granted, now, log, page_domain
-                )
-                scripts_run += 1
-
-        calls = tuple(self.topics_manager.drain_calls_since(call_mark))
-        if self._spans.enabled:
-            self._record_stage_spans(
-                domain, load_seconds, fetches, scripts_run, calls,
-                redirected=site.redirect_to is not None,
-            )
-        if instrumented:
-            self._metrics.counter("browser_visits_total", outcome="ok")
-            self._metrics.observe("visit_seconds", load_seconds, outcome="ok")
-            self._tracer.emit(
-                EventKind.VISIT_FINISHED,
-                at=self.clock.now(),
-                domain=domain,
-                ok=True,
-                final_domain=final_site.domain,
-                consent_granted=consent_granted,
-                third_parties=len(log.third_party_domains(page_domain)),
-                topics_calls=len(calls),
-                load_seconds=load_seconds,
-            )
-        return VisitOutcome(
-            requested_domain=domain,
-            ok=True,
-            final_domain=final_site.domain,
-            url=str(site.url),
-            final_url=str(page.url),
-            consent_granted=consent_granted,
-            banner=page.banner,
-            loaded_hosts=frozenset(log.hosts()),
-            third_party_domains=frozenset(log.third_party_domains(page_domain)),
-            topics_calls=calls,
+        return self._planned_visit(
+            domain,
+            consent_granted,
+            load_seconds,
+            redirected=site.redirect_to is not None,
         )
 
-    def _planned_visit(self, domain: str, consent_granted: bool) -> VisitOutcome:
+    def _planned_visit(
+        self,
+        domain: str,
+        consent_granted: bool,
+        load_seconds: int,
+        redirected: bool,
+    ) -> VisitOutcome:
         """Execute a visit from its precomputed :class:`SitePlan`.
 
-        Performs exactly the state mutations the legacy path would — page
-        history, cache inserts, cookie impressions, Topics calls and
-        observations, in page order — but reads every static decision
-        (which tags run, who calls, how often) from the plan.  Reachable
-        sites only; the caller has already resolved reachability,
-        retries and consent.
+        Performs the visit's state mutations — page history, cache
+        inserts, cookie impressions, Topics calls and observations, in
+        page order — reading every static decision (which tags run, who
+        calls, how often) from the plan, then reports the visit to the
+        tracer, metrics and span recorder.  Reachable sites only; the
+        caller has already resolved reachability, retries and consent.
         """
         plan = self._planner.plan_for(domain, consent_granted)
         manager = self.topics_manager
         tracker = self.cookie_tracker
+        tracer = self._tracer
+        metrics = self._metrics
+        instrumented = tracer.enabled or metrics.enabled
         now = self.clock.now()
         page_domain = plan.page_domain
 
@@ -518,46 +441,36 @@ class Browser:
                     continue
                 # A fired conditional call fetches its endpoint whether or
                 # not the API itself is enabled (the fetch precedes the
-                # call on the legacy path).
+                # call).
                 self._network.cache._entries.add(call.fetch_url)
                 fired_hosts.add(call.fetch_host)
             if not enabled:
-                # Legacy semantics: every attempt raises before mutating
-                # any state; ad tags swallow it, rogue loops bail out.
+                # Every attempt raises before mutating any state; ad tags
+                # swallow it, rogue loops bail out.
                 continue
-            if call.javascript:
-                for _ in range(call.count):
-                    manager.handle_topics_call(
-                        call.caller_host,
-                        page_domain,
-                        ApiCallType.JAVASCRIPT,
-                        now,
-                        observe=True,
+            # JavaScript calls observe in-call; fetch and iframe calls
+            # record the observation after an allowed call.
+            observe = call.javascript
+            for _ in range(call.count):
+                manager.handle_topics_call(
+                    call.caller_host, page_domain, call.call_type, now, observe=observe
+                )
+                if instrumented:
+                    instrument_topics_call(tracer, metrics, manager.last_call)
+                if not observe and manager.last_call.decision.allowed:
+                    manager.record_caller_observation(
+                        call.caller_host, page_domain, now
                     )
-            else:
-                for _ in range(call.count):
-                    manager.handle_topics_call(
-                        call.caller_host,
-                        page_domain,
-                        call.call_type,
-                        now,
-                        observe=False,
-                    )
-                    if manager.last_call.decision.allowed:
-                        manager.record_caller_observation(
-                            call.caller_host, page_domain, now
-                        )
 
         calls = tuple(manager.drain_calls_since(call_mark))
         if fired_hosts:
-            loaded_hosts = frozenset(plan.loaded_hosts | fired_hosts)
+            loaded_hosts = tuple(sorted(fired_hosts.union(plan.loaded_hosts)))
             third = set(plan.third_parties)
             for host in fired_hosts:
                 registrable = etld_plus_one(host)
                 if registrable != page_domain:
                     third.add(registrable)
-            third_party_domains = frozenset(third)
-            third_parties_sorted = tuple(sorted(third))
+            third_parties = tuple(sorted(third))
             cmp_name = (
                 self._world.cmps.detect_from_domains(loaded_hosts)
                 if plan.cmp_rescan
@@ -565,9 +478,27 @@ class Browser:
             )
         else:
             loaded_hosts = plan.loaded_hosts
-            third_party_domains = plan.third_parties
-            third_parties_sorted = plan.third_parties_sorted
+            third_parties = plan.third_parties
             cmp_name = plan.cmp
+
+        if self._spans.enabled:
+            self._record_stage_spans(
+                domain, load_seconds, plan.fetches, plan.scripts_run, calls, redirected
+            )
+        if instrumented:
+            metrics.counter("browser_visits_total", outcome="ok")
+            metrics.observe("visit_seconds", load_seconds, outcome="ok")
+            tracer.emit(
+                EventKind.VISIT_FINISHED,
+                at=now,
+                domain=domain,
+                ok=True,
+                final_domain=page_domain,
+                consent_granted=consent_granted,
+                third_parties=len(third_parties),
+                topics_calls=len(calls),
+                load_seconds=load_seconds,
+            )
         return VisitOutcome(
             requested_domain=domain,
             ok=True,
@@ -577,8 +508,7 @@ class Browser:
             consent_granted=consent_granted,
             banner=plan.banner,
             loaded_hosts=loaded_hosts,
-            third_party_domains=third_party_domains,
-            topics_calls=calls,
-            third_parties_sorted=third_parties_sorted,
+            third_parties=third_parties,
             detected_cmp=cmp_name,
+            topics_calls=calls,
         )

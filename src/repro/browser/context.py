@@ -8,14 +8,34 @@ here:
   (paper Figure 4, the GTM anomaly);
 * an **iframe** creates a child context whose origin comes from the
   frame's ``src`` URL.
+
+:class:`ScriptOriginMode` can swap the first rule for its counterfactual.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass, field
 
 from repro.browser.origin import Origin
 from repro.util.urls import Url
+
+
+class ScriptOriginMode(enum.Enum):
+    """Which origin a plain ``<script>`` tag's code calls with.
+
+    ``EMBEDDER`` is the real platform behaviour (and the default): a
+    script tag in the page HTML runs in the embedding context, so its
+    ``document.browsingTopics()`` call is charged to the page (or iframe)
+    origin — the paper's §4 mechanism.  ``SCRIPT_URL`` is a
+    counterfactual for the ablation study: if the platform attributed
+    script calls to the host the script bytes came from, §4's thousands
+    of per-site anomalous callers would collapse to the one or two
+    library hosts actually responsible.
+    """
+
+    EMBEDDER = "embedder"
+    SCRIPT_URL = "script-url"
 
 
 @dataclass

@@ -1,19 +1,19 @@
-"""Precomputed visit plans: the browser's batched fast path.
+"""Precomputed visit plans: how the browser executes a page.
 
 Page materialisation and tag execution are deterministic per
 (requested domain, consent state, script-origin mode): which tags a
 page carries, which URLs they fetch, which ad tags fire, as what caller,
 with which call type and how many repeats — all of it is a stable
-function of world data.  The legacy :meth:`Browser.visit` recomputes
-every bit of it on every visit, which dominates the shard inner loop.
+function of world data.  Recomputing it on every visit would dominate
+the shard inner loop, so :meth:`Browser.visit` replays compiled plans.
 
 A :class:`VisitPlanner` compiles each (domain, consent) variant **once**,
 on the first visit that needs it, into a :class:`SitePlan`:
 
 * the static fetch surface — URL strings for the browser cache, the
-  loaded-host set and the third-party registrable set, pre-frozen (and
-  pre-sorted) so every visit shares one object instead of rebuilding
-  them;
+  sorted loaded hosts and the sorted third-party registrable domains,
+  shared by every visit instead of rebuilt per visit — plus the fetch
+  and script-execution counts the visit's stage spans are carved from;
 * the pre-detected CMP name (Wappalyzer-style detection over the static
   host set — the batched topic-classification/allow-list sibling checks
   happen inside the manager, which the plan still calls per visit);
@@ -27,13 +27,13 @@ plan is built only for a domain the crawl actually accepted.
 
 Plans bake **no per-profile state**: browsing history, the cookie jar,
 allow-list gating, epoch topic selection and the clock all flow through
-the same manager/tracker entry points the legacy path uses, in the same
-order.  The only time-dependent decision — an alternating A/B policy's
-ON/OFF window (doubleclick.net, criteo.com) — stays dynamic: such ops
-carry their policy and are re-evaluated against the visit clock.  A
-planned visit is therefore byte-identical to a legacy visit, which the
-metamorphic harness's instrumentation-transparency relation pins (the
-instrumented backend takes the legacy path, the bare one the plans).
+the manager/tracker entry points in page order at visit time.  The only
+time-dependent decision — an alternating A/B policy's ON/OFF window
+(doubleclick.net, criteo.com) — stays dynamic: such ops carry their
+policy and are re-evaluated against the visit clock.  Instrumented and
+bare browsers replay the same plans; telemetry only reads what the
+replay did (the metamorphic harness's instrumentation-transparency
+relation pins the datasets equal).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.browser.script import ScriptOriginMode
+from repro.browser.context import ScriptOriginMode
 from repro.browser.topics.types import ApiCallType
 from repro.util.psl import etld_plus_one
 from repro.web.page import ScriptKind, ScriptTag
@@ -69,9 +69,10 @@ class PlannedCall:
     the fetch/iframe surfaces call with ``observe=False`` and record the
     observation afterwards when the response opts in and the call was
     allowed — exactly the split in :mod:`repro.browser.topics.api`.
-    ``fetch_url`` is only set on conditional (alternating-policy) ops,
-    whose fetch joins the visit's cache surface when the policy fires;
-    static ops' fetches are already part of the plan's URL set.
+    ``fetch_url`` is only set on ad calls: a conditional
+    (alternating-policy) op's fetch joins the visit's cache surface when
+    the policy fires; static ops' fetches are already part of the plan's
+    URL set.  Rogue calls fetch nothing.
     """
 
     caller_host: str
@@ -122,12 +123,18 @@ class SitePlan:
     banner: "ConsentBanner | None"
     cmp: str | None
     #: every URL the visit fetches (deduplicated) — bulk-inserted into
-    #: the browser cache, replacing per-tag NetworkStack.fetch calls
+    #: the browser cache
     cache_urls: tuple[str, ...]
-    loaded_hosts: frozenset[str]
-    third_parties: frozenset[str]
-    third_parties_sorted: tuple[str, ...]
+    #: every host the visit contacts, sorted
+    loaded_hosts: tuple[str, ...]
+    #: registrable domains of the loaded hosts other than the page's, sorted
+    third_parties: tuple[str, ...]
     ops: tuple[PlannedOp, ...]
+    #: tag fetches: the page, its resources, scripts and iframes (ad-call
+    #: endpoints are not counted) — the navigate span's work measure
+    fetches: int
+    #: script tags executed
+    scripts_run: int
     #: True when any op carries an alternating policy (per-visit re-check)
     conditional: bool = False
     #: True when a fired conditional host could flip CMP detection (never
@@ -192,13 +199,6 @@ class VisitPlanner:
     def _compile(self, domain: str, consent: bool) -> SitePlan:
         world = self._world
         site = world.site(domain)
-        if "build_page" in vars(site) or (
-            site.redirect_to is not None
-            and "build_page" in vars(world.site(site.redirect_to))
-        ):
-            # The site carries a hand-patched page builder (test worlds
-            # splice these in); only the page walk can see what it adds.
-            return self._build(domain, consent)
         if site.redirect_to is None:
             return self._compile_final(site, consent)
         final = world.site(site.redirect_to)
@@ -254,6 +254,7 @@ class VisitPlanner:
         hosts = {page_host}
         regs = {page_domain}
         ops: list[PlannedOp] = []
+        scripts = frames = 0
         conditional = False
         enforce = site.gates_before_consent
         multiplier = None if consent else self._environment_multiplier(page_domain)
@@ -264,6 +265,7 @@ class VisitPlanner:
             urls.append(f"https://{cmp_host}/cmp/stub.js")
             hosts.add(cmp_host)
             regs.add(cmp_domain)
+            scripts += 1
 
         embeds = self._embeds
         for tp_domain in site.embedded:
@@ -272,6 +274,7 @@ class VisitPlanner:
                 urls.append(_GTM_URL)
                 hosts.add(_GTM_HOST)
                 regs.add(GTM_DOMAIN)
+                scripts += 1
                 if (
                     rogue_fires
                     and rogue.variant is RogueVariant.ROOT_GTM
@@ -291,6 +294,7 @@ class VisitPlanner:
             urls.append(embed.url)
             hosts.add(embed.host)
             regs.add(tp_domain)
+            scripts += 1
             if not embed.ads:
                 continue
             policy = embed.policy
@@ -330,6 +334,7 @@ class VisitPlanner:
             urls.append(_LIB_URL)
             hosts.add(_LIB_HOST)
             regs.add(_LIB_DOMAIN)
+            scripts += 1
             if rogue_fires:
                 caller_host = _LIB_HOST if script_url_mode else page_host
                 ops.append(_rogue_op(caller_host, rogue.call_count))
@@ -342,6 +347,8 @@ class VisitPlanner:
             urls.append(f"https://{frame_host}/embed/inner.js")
             hosts.add(frame_host)
             regs.add(etld_plus_one(frame_host))
+            frames += 1
+            scripts += 1
             if rogue_fires:
                 # Both script-origin modes resolve to the frame host: the
                 # inner tag's src host equals the frame's.
@@ -364,10 +371,12 @@ class VisitPlanner:
             banner=banner,
             cmp=cmp_name,
             cache_urls=tuple(dict.fromkeys(urls)),
-            loaded_hosts=frozenset(hosts),
-            third_parties=frozenset(third_parties),
-            third_parties_sorted=tuple(sorted(third_parties)),
+            loaded_hosts=tuple(sorted(hosts)),
+            third_parties=tuple(sorted(third_parties)),
             ops=tuple(ops),
+            # the page and its two resources, then one fetch per tag
+            fetches=3 + frames + scripts,
+            scripts_run=scripts,
             conditional=conditional,
             cmp_rescan=cmp_rescan,
         )
@@ -386,6 +395,8 @@ class VisitPlanner:
         urls: list[str] = [str(page.url)]
         hosts: set[str] = {page.url.host}
         ops: list[PlannedOp] = []
+        fetches = 1
+        scripts = 0
         conditional = False
 
         for resource in page.resources:
@@ -393,12 +404,14 @@ class VisitPlanner:
                 continue
             urls.append(str(resource.src))
             hosts.add(resource.src.host)
+            fetches += 1
 
         for tag in page.scripts:
             if tag.gated and not consent:
                 continue
             urls.append(str(tag.src))
             hosts.add(tag.src.host)
+            scripts += 1
             conditional |= self._plan_script(
                 tag, page_domain, page.url.host, consent, ops, urls, hosts
             )
@@ -408,6 +421,7 @@ class VisitPlanner:
                 continue
             urls.append(str(frame.src))
             hosts.add(frame.src.host)
+            fetches += 1
             if frame.browsingtopics_attr:
                 ops.append(
                     PlannedOp(
@@ -422,6 +436,7 @@ class VisitPlanner:
             for inner in frame.scripts:
                 urls.append(str(inner.src))
                 hosts.add(inner.src.host)
+                scripts += 1
                 conditional |= self._plan_script(
                     inner, page_domain, frame.src.host, consent, ops, urls, hosts
                 )
@@ -449,10 +464,11 @@ class VisitPlanner:
             banner=page.banner,
             cmp=cmp_name,
             cache_urls=tuple(dict.fromkeys(urls)),
-            loaded_hosts=frozenset(hosts),
-            third_parties=frozenset(third_parties),
-            third_parties_sorted=tuple(sorted(third_parties)),
+            loaded_hosts=tuple(sorted(hosts)),
+            third_parties=tuple(sorted(third_parties)),
             ops=tuple(ops),
+            fetches=fetches + scripts,
+            scripts_run=scripts,
             conditional=conditional,
             cmp_rescan=cmp_rescan,
         )
@@ -566,7 +582,10 @@ class VisitPlanner:
         ops.append(_rogue_op(caller_host, tag.rogue_call_count))
 
     def _environment_multiplier(self, page_domain: str) -> float:
-        """Mirror of ScriptRuntime._consent_environment_multiplier."""
+        """How the visited site's consent setup modulates pre-consent ad
+        calls: no banner → no consent string, services stay mostly
+        conservative; a leaky CMP mis-signals consent and services trust
+        it; a home-grown non-gating banner sits in between."""
         site = self._world.resolve(page_domain)
         config = self._world.config
         if site is None or site.banner is None:

@@ -22,11 +22,48 @@ from repro.browser.topics.headers import (
     format_topics_header,
     observe_requested,
 )
-from repro.browser.topics.manager import BrowsingTopicsSiteDataManager
+from repro.browser.topics.manager import BrowsingTopicsSiteDataManager, TopicsApiCall
 from repro.browser.topics.types import ApiCallType, Topic
 from repro.obs import EventKind, NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 from repro.util.timeline import Timestamp
 from repro.util.urls import Url
+
+
+#: ``caller_context`` label per surface; the label's host is always the
+#: call's ``caller_host`` (the calling context's origin for JavaScript,
+#: the request destination for fetch and iframe).
+_CONTEXT_LABEL = {
+    ApiCallType.JAVASCRIPT: "js",
+    ApiCallType.FETCH: "fetch",
+    ApiCallType.IFRAME: "iframe",
+}
+
+
+def instrument_topics_call(
+    tracer: Tracer, metrics: MetricsRegistry, call: TopicsApiCall
+) -> None:
+    """Count and trace one logged call, with its gating classification.
+
+    The one shape of the ``TOPICS_CALL`` event and ``topics_calls_total``
+    series, shared by :class:`TopicsApi` and the browser's plan replay.
+    """
+    metrics.counter(
+        "topics_calls_total",
+        type=call.call_type.value,
+        decision=call.decision.value,
+    )
+    tracer.emit(
+        EventKind.TOPICS_CALL,
+        at=call.at,
+        caller=call.caller,
+        caller_host=call.caller_host,
+        site=call.site,
+        call_type=call.call_type.value,
+        caller_context=f"{_CONTEXT_LABEL[call.call_type]}:{call.caller_host}",
+        decision=call.decision.value,
+        allowed=call.allowed,
+        topics_returned=call.topics_returned,
+    )
 
 
 @dataclass(frozen=True)
@@ -56,28 +93,12 @@ class TopicsApi:
         self._tracer = tracer
         self._metrics = metrics
 
-    def _instrument_last_call(self, caller_context: str) -> None:
+    def _instrument_last_call(self) -> None:
         """Trace the call the manager just logged, with its classification."""
-        if not (self._tracer.enabled or self._metrics.enabled):
-            return
-        call = self._manager.last_call
-        self._metrics.counter(
-            "topics_calls_total",
-            type=call.call_type.value,
-            decision=call.decision.value,
-        )
-        self._tracer.emit(
-            EventKind.TOPICS_CALL,
-            at=call.at,
-            caller=call.caller,
-            caller_host=call.caller_host,
-            site=call.site,
-            call_type=call.call_type.value,
-            caller_context=caller_context,
-            decision=call.decision.value,
-            allowed=call.allowed,
-            topics_returned=call.topics_returned,
-        )
+        if self._tracer.enabled or self._metrics.enabled:
+            instrument_topics_call(
+                self._tracer, self._metrics, self._manager.last_call
+            )
 
     def document_browsing_topics(
         self,
@@ -98,7 +119,7 @@ class TopicsApi:
             now=now,
             observe=not skip_observation,
         )
-        self._instrument_last_call(caller_context=f"js:{origin.host}")
+        self._instrument_last_call()
         return topics
 
     def fetch_with_topics(
@@ -124,7 +145,7 @@ class TopicsApi:
             now=now,
             observe=False,
         )
-        self._instrument_last_call(caller_context=f"fetch:{url.host}")
+        self._instrument_last_call()
         observed = False
         if observe_requested(response_observe_header) and self._manager.last_call.allowed:
             self._manager.record_caller_observation(
@@ -154,7 +175,7 @@ class TopicsApi:
             now=now,
             observe=False,
         )
-        self._instrument_last_call(caller_context=f"iframe:{src.host}")
+        self._instrument_last_call()
         if observe_requested(response_observe_header) and self._manager.last_call.allowed:
             self._manager.record_caller_observation(
                 src.host, parent.top_frame_site, now

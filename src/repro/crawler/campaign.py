@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro.browser.browser import Browser, VisitOutcome, state_digest_of
-from repro.browser.script import ScriptOriginMode
+from repro.browser.context import ScriptOriginMode
 from repro.crawler.dataset import Dataset, PHASE_AFTER, PHASE_BEFORE
 from repro.crawler.privaccept import BannerDetection, PrivAccept
 from repro.crawler.wellknown import AttestationSurvey, survey_attestations
@@ -303,7 +303,6 @@ class CrawlCampaign:
         report: CrawlReport,
     ) -> None:
         """Run the full Before/After protocol for one ranking entry."""
-        world = self._world
         tracer, metrics, spans = self._tracer, self._metrics, self._spans
         instrumented = tracer.enabled or metrics.enabled
         recording = spans.enabled
@@ -350,7 +349,7 @@ class CrawlCampaign:
         detection = self._detect_banner(before.banner)
         if detection.banner_found:
             report.banners_seen += 1
-        self._append(d_ba, rank, before, PHASE_BEFORE, detection, world)
+        self._append(d_ba, rank, before, PHASE_BEFORE, detection)
 
         if instrumented:
             metrics.counter(
@@ -404,7 +403,7 @@ class CrawlCampaign:
         if recording:
             spans.exit(at=clock.now(), ok=after.ok)
         if after.ok:
-            self._append(d_aa, rank, after, PHASE_AFTER, detection, world)
+            self._append(d_aa, rank, after, PHASE_AFTER, detection)
             metrics.counter(
                 "crawl_visits_total", phase=PHASE_AFTER, outcome="ok"
             )
@@ -512,20 +511,8 @@ class CrawlCampaign:
         outcome: VisitOutcome,
         phase: str,
         detection: BannerDetection,
-        world: "SyntheticWeb",
     ) -> None:
-        """Append one dataset row column-wise — no record object built.
-
-        Plan-built outcomes carry their third parties pre-sorted and the
-        CMP pre-detected (both fixed per (site, consent) variant);
-        legacy outcomes compute them here as before.
-        """
-        if outcome.third_parties_sorted is not None:
-            third_parties = outcome.third_parties_sorted
-            cmp_name = outcome.detected_cmp
-        else:
-            third_parties = tuple(sorted(outcome.third_party_domains))
-            cmp_name = world.cmps.detect_from_domains(outcome.loaded_hosts)
+        """Append one dataset row column-wise — no record object built."""
         dataset.append_visit(
             rank=rank,
             domain=outcome.requested_domain,
@@ -538,7 +525,7 @@ class CrawlCampaign:
                 outcome.banner.language if outcome.banner is not None else None
             ),
             accept_clicked=detection.accept_clicked,
-            cmp=cmp_name,
-            third_parties=third_parties,
+            cmp=outcome.detected_cmp,
+            third_parties=outcome.third_parties,
             api_calls=outcome.topics_calls,
         )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from repro.browser.script import ScriptOriginMode
+from repro.browser.context import ScriptOriginMode
 from repro.crawler.archive import save_crawl
 from repro.crawler.campaign import CrawlCampaign
 from repro.crawler.executor import (

@@ -74,5 +74,5 @@ class TestBrowserWithoutOptIn:
             for host in with_topics.loaded_hosts
             if not host.startswith(("frame.", "bid.", "ads."))
         }
-        assert page_hosts <= without.loaded_hosts | page_hosts
+        assert page_hosts <= set(without.loaded_hosts)
         assert without.ok

@@ -1,20 +1,22 @@
-"""Visit-plan fast path: compiled plans ≡ the page-walk reference.
+"""Visit plans: compiled plans ≡ the page-walk reference.
 
 ``VisitPlanner._compile_final`` builds one consent variant of a site's
 plan directly from ``Website`` fields; ``VisitPlanner._build`` is the
 retained reference implementation that materialises the page and walks
 its tags.  These tests pin the two equal for every site of a generated
-world (both script-origin modes, both consent states), pin the
-fast-path campaign byte-equal to the instrumented legacy-path campaign,
-so neither builder can drift silently, and pin that a crawl compiles
-After-Accept plans only for the domains it accepted.
+world (both script-origin modes, both consent states), so neither
+builder can drift silently; pin that instrumented visits replay the
+same plans as bare ones and yield equal records; and pin that a crawl
+compiles After-Accept plans only for the domains it accepted.
 """
 
 import pytest
 
-from repro.browser.script import ScriptOriginMode
+from repro.browser.browser import Browser
+from repro.browser.context import ScriptOriginMode
 from repro.crawler.campaign import CrawlCampaign
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import EventKind, MetricsRegistry, SpanRecorder, Tracer
+from repro.obs.spans import SPAN_NAVIGATE
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
 
@@ -57,28 +59,51 @@ class TestCompileMatchesPageWalk:
             assert plan.third_parties == target.third_parties
 
 
-class TestFastPathCampaignEquivalence:
-    def test_fast_equals_instrumented_legacy(self):
+class TestInstrumentedVisitsReplayPlans:
+    def test_instrumented_visit_compiles_its_plan(self):
         world = WebGenerator(WorldConfig.small(150, seed=23)).generate()
-        fast = CrawlCampaign(world, corrupt_allowlist=True).run()
-        legacy = CrawlCampaign(
+        tracer, metrics, spans = Tracer(), MetricsRegistry(), SpanRecorder()
+        browser = Browser(world, tracer=tracer, metrics=metrics, spans=spans)
+        domain = next(
+            site.domain
+            for site in world.websites
+            if site.reachable and site.redirect_to is None
+        )
+        planner = world.visit_planner(ScriptOriginMode.EMBEDDER)
+        assert not planner._plans
+
+        outcome = browser.visit(domain, consent_granted=True)
+        assert outcome.ok
+        plan = planner._plans[(domain, True)]
+        (finished,) = tracer.events(EventKind.VISIT_FINISHED)
+        assert finished.fields["third_parties"] == len(plan.third_parties)
+        (navigate,) = spans.spans(SPAN_NAVIGATE)
+        assert navigate.fields["fetches"] == plan.fetches
+
+
+class TestTelemetryTransparency:
+    def test_telemetry_on_and_off_yield_equal_records(self):
+        world = WebGenerator(WorldConfig.small(150, seed=23)).generate()
+        bare = CrawlCampaign(world, corrupt_allowlist=True).run()
+        traced = CrawlCampaign(
             world,
             corrupt_allowlist=True,
             tracer=Tracer(),
             metrics=MetricsRegistry(),
+            spans=SpanRecorder(),
         ).run()
 
-        assert fast.d_ba.records == legacy.d_ba.records
-        assert fast.d_aa.records == legacy.d_aa.records
-        assert fast.report.ok == legacy.report.ok
-        assert fast.report.failed == legacy.report.failed
-        assert fast.report.accepted == legacy.report.accepted
-        assert fast.report.banners_seen == legacy.report.banners_seen
-        assert fast.report.failure_kinds == legacy.report.failure_kinds
-        assert fast.report.finished_at == legacy.report.finished_at
-        assert fast.allowed_domains == legacy.allowed_domains
+        assert bare.d_ba.records == traced.d_ba.records
+        assert bare.d_aa.records == traced.d_aa.records
+        assert bare.report.ok == traced.report.ok
+        assert bare.report.failed == traced.report.failed
+        assert bare.report.accepted == traced.report.accepted
+        assert bare.report.banners_seen == traced.report.banners_seen
+        assert bare.report.failure_kinds == traced.report.failure_kinds
+        assert bare.report.finished_at == traced.report.finished_at
+        assert bare.allowed_domains == traced.allowed_domains
         assert (
-            fast.survey.attested_domains() == legacy.survey.attested_domains()
+            bare.survey.attested_domains() == traced.survey.attested_domains()
         )
 
 

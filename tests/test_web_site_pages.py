@@ -3,6 +3,7 @@
 import pytest
 
 from repro.browser.browser import Browser
+from repro.browser.context import ScriptOriginMode
 from repro.browser.topics.types import ApiCallType
 from repro.util.urls import https
 from repro.web.banner import ConsentBanner
@@ -109,8 +110,24 @@ class TestDeclarativeTopicsIframe:
         yield world
         del world.shadow_sites["handmade.com"]
         del world._sites_by_domain["handmade.com"]  # noqa: SLF001
+        planner = world.visit_planner(ScriptOriginMode.EMBEDDER)
+        planner._plans.pop(("handmade.com", True), None)  # noqa: SLF001
 
     def test_iframe_attr_calls_as_frame_source(self, custom_world):
+        # Only the reference page walk sees a hand-patched page builder.
+        planner = custom_world.visit_planner(ScriptOriginMode.EMBEDDER)
+        plan = planner._build("handmade.com", True)  # noqa: SLF001
+        frame_calls = [
+            op.call
+            for op in plan.ops
+            if op.call is not None and op.call.call_type is ApiCallType.IFRAME
+        ]
+        assert [call.caller_host for call in frame_calls] == ["ads.criteo.com"]
+        assert frame_calls[0].count == 1
+        assert "ads.criteo.com" in plan.loaded_hosts
+
+        # Replaying the walked plan issues the call as the frame's source.
+        planner._plans[("handmade.com", True)] = plan  # noqa: SLF001
         browser = Browser(custom_world, corrupt_allowlist=False)
         outcome = browser.visit("handmade.com", consent_granted=True)
         iframe_calls = [
