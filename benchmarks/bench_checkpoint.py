@@ -8,8 +8,7 @@ checkpoints must be far cheaper than re-crawling.
 
 from conftest import BENCH_SITES, show, world  # noqa: F401 - pytest fixture
 
-from repro.crawler.parallel import ShardedCrawl
-from repro.crawler.resumable import ResumableCrawl
+from repro.crawler.crawl import Crawl
 
 SHARDS = 8
 
@@ -18,9 +17,9 @@ CHECKPOINT_EVERY = max(50, BENCH_SITES // (SHARDS * 8))
 
 
 def test_checkpointed_crawl(benchmark, world, tmp_path):  # noqa: F811
-    baseline = ShardedCrawl(world, shard_count=SHARDS).run()
+    baseline = Crawl(world, shard_count=SHARDS).run().result
     outcome = benchmark.pedantic(
-        ResumableCrawl(
+        Crawl(
             world,
             tmp_path / "checkpoints",
             shard_count=SHARDS,
@@ -46,14 +45,14 @@ def test_checkpointed_crawl(benchmark, world, tmp_path):  # noqa: F811
 def test_resume_from_complete_checkpoints(benchmark, world, tmp_path):  # noqa: F811
     """Re-running a finished campaign should reload, not re-crawl."""
     directory = tmp_path / "checkpoints"
-    first = ResumableCrawl(
+    first = Crawl(
         world,
         directory,
         shard_count=SHARDS,
         checkpoint_every=CHECKPOINT_EVERY,
     ).run()
     resumed = benchmark.pedantic(
-        ResumableCrawl(
+        Crawl(
             world,
             directory,
             shard_count=SHARDS,

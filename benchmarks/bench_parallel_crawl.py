@@ -18,7 +18,7 @@ import time
 
 from conftest import show
 
-from repro.crawler.parallel import ShardedCrawl
+from repro.crawler.crawl import Crawl
 
 SHARDS = 8
 
@@ -52,9 +52,9 @@ def test_backend_matrix(benchmark, world, crawl):
     keys = {}
     for backend, workers in MATRIX:
         started = time.perf_counter()
-        result = ShardedCrawl(
+        result = Crawl(
             world, shard_count=SHARDS, backend=backend, max_workers=workers
-        ).run()
+        ).run().result
         timings.append((backend, workers, time.perf_counter() - started))
         keys[(backend, workers)] = _result_key(result)
 
@@ -63,7 +63,7 @@ def test_backend_matrix(benchmark, world, crawl):
     # the recorded figure a steady-state one (plans and caches hot),
     # matching how test_crawl_throughput measures.
     representative = benchmark.pedantic(
-        ShardedCrawl(world, shard_count=SHARDS, backend="thread").run,
+        lambda: Crawl(world, shard_count=SHARDS, backend="thread").run().result,
         rounds=1,
         iterations=1,
         warmup_rounds=1,

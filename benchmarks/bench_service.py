@@ -2,7 +2,7 @@
 
 Measures the crawl service against the batch path it wraps: a submitted,
 event-streamed campaign should pay a small, bounded overhead over a
-plain ``ResumableCrawl`` of the same spec — the blocking loop bridge and
+checkpointed batch ``Crawl`` of the same spec — the blocking loop bridge and
 the bounded event queues are on the visit hot path by design (that is
 what backpressure means), so their cost is pinned here.
 
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from conftest import BENCH_SITES, show
 
-from repro.crawler.resumable import ResumableCrawl
+from repro.crawler.crawl import Crawl
 from repro.service import CrawlService, JobSpec
 from repro.web.generator import WebGenerator
 
@@ -81,7 +81,7 @@ def test_service_throughput(benchmark):
     # The batch plane on the same spec: what the service's streaming
     # front-end is allowed to cost against.
     world = WebGenerator(spec.world_config()).generate()
-    ResumableCrawl(  # warm the visit-plan caches identically
+    Crawl(  # warm the visit-plan caches identically
         world,
         root / "warm-ckpt",
         shard_count=spec.shards,
@@ -89,7 +89,7 @@ def test_service_throughput(benchmark):
         backend="serial",
     ).run()
     batch_started = time.perf_counter()
-    batch = ResumableCrawl(
+    batch = Crawl(
         world,
         root / "batch-ckpt",
         shard_count=spec.shards,

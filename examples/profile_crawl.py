@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.profile_report import render_profile
-from repro.crawler.parallel import ShardedCrawl
+from repro.crawler.crawl import Crawl
 from repro.obs import SpanRecorder, build_profile
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -40,7 +40,7 @@ def main() -> None:
     print("Sharded campaign, 4 shards (span recording on) ...")
     spans = SpanRecorder()
     started = time.time()
-    result = ShardedCrawl(world, shard_count=4, spans=spans).run()
+    result = Crawl(world, shard_count=4, spans=spans).run().result
     print(f"  done in {time.time() - started:.1f}s wall-clock")
 
     profile = build_profile(spans)

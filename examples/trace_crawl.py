@@ -28,7 +28,7 @@ from repro.analysis.obs_report import (
     render_metrics_report,
 )
 from repro.crawler.campaign import CrawlCampaign
-from repro.crawler.parallel import ShardedCrawl
+from repro.crawler.crawl import Crawl
 from repro.obs import EventKind, MetricsRegistry, Tracer
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -50,7 +50,7 @@ def main() -> None:
     print("Sharded campaign, 4 shards (instrumented) ...")
     shard_tracer, shard_metrics = Tracer(), MetricsRegistry()
     started = time.time()
-    ShardedCrawl(
+    Crawl(
         world, shard_count=4, tracer=shard_tracer, metrics=shard_metrics
     ).run()
     print(f"  done in {time.time() - started:.1f}s wall-clock")

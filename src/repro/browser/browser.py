@@ -21,7 +21,7 @@ from repro.attestation.allowlist import AllowListDatabase
 from repro.browser.consent import ConsentLedger
 from repro.browser.context import ScriptOriginMode
 from repro.browser.cookies import Cookie, CookieJar, CookieTracker
-from repro.browser.network import BrowserCache, NetworkStack
+from repro.browser.network import BrowserCache
 from repro.browser.failures import failure_kind_for
 from repro.browser.topics.api import instrument_topics_call
 from repro.browser.topics.manager import BrowsingTopicsSiteDataManager, TopicsApiCall
@@ -132,7 +132,7 @@ class Browser:
             allowlist_db=self.allowlist_db,
             topics_enabled=topics_enabled,
         )
-        self._network = NetworkStack(BrowserCache())
+        self._cache = BrowserCache()
         self._visit_counter = 0
         self._failed_attempts: dict[str, int] = {}
         self._planner = world.visit_planner(script_origin_mode)
@@ -141,7 +141,7 @@ class Browser:
 
     def clear_cache(self) -> None:
         """Drop the object cache (between Before- and After-Accept)."""
-        self._network.cache.clear()
+        self._cache.clear()
 
     def refresh_allowlist(self) -> None:
         """Re-install a healthy allow-list component (browser restart)."""
@@ -181,7 +181,7 @@ class Browser:
             "rng_cursor": self._visit_counter,
             "failed_attempts": dict(sorted(self._failed_attempts.items())),
             "consent": sorted(self.consent._granted),
-            "cache": sorted(self._network.cache._entries),
+            "cache": sorted(self._cache._entries),
             "allowlist_corrupt": self.allowlist_db.is_corrupt,
             "cookies": [
                 {
@@ -219,9 +219,9 @@ class Browser:
         self.consent.clear()
         for domain in snapshot["consent"]:
             self.consent.grant(domain)
-        self._network.cache.clear()
+        self._cache.clear()
         for url in snapshot["cache"]:
-            self._network.cache._entries.add(url)
+            self._cache._entries.add(url)
         self.cookie_jar.clear()
         for payload in snapshot["cookies"]:
             self.cookie_jar._store[(payload["domain"], payload["name"])] = Cookie(
@@ -424,7 +424,7 @@ class Browser:
         now = self.clock.now()
         page_domain = plan.page_domain
 
-        self._network.cache._entries.update(plan.cache_urls)
+        self._cache._entries.update(plan.cache_urls)
         manager.record_page_visit(page_domain, now)
         call_mark = manager.call_count
         enabled = manager.topics_enabled
@@ -442,7 +442,7 @@ class Browser:
                 # A fired conditional call fetches its endpoint whether or
                 # not the API itself is enabled (the fetch precedes the
                 # call).
-                self._network.cache._entries.add(call.fetch_url)
+                self._cache._entries.add(call.fetch_url)
                 fired_hosts.add(call.fetch_host)
             if not enabled:
                 # Every attempt raises before mutating any state; ad tags

@@ -1,55 +1,16 @@
-"""Network instrumentation: the per-visit object log and the cache.
+"""The browser's object cache.
 
-The paper "collect[s] the URL of each first- and third-party object
-downloaded to render the page" and deletes the browser cache between the
-Before-Accept and After-Accept visits so all objects load again — both are
-modelled here.
+The paper deletes the browser cache between the Before-Accept and
+After-Accept visits so all objects load again.  Each visit adds the
+objects its compiled plan (:mod:`repro.browser.plan`) loads, and the
+crawler clears the cache between the two phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.util.psl import etld_plus_one
-from repro.util.timeline import Timestamp
 from repro.util.urls import Url
-
-
-@dataclass(frozen=True, slots=True)
-class FetchRecord:
-    """One object download."""
-
-    url: Url
-    at: Timestamp
-    from_cache: bool
-    first_party: bool  # same registrable domain as the page being rendered
-
-
-class NetworkLog:
-    """Ordered log of every fetch a visit performed."""
-
-    def __init__(self) -> None:
-        self._records: list[FetchRecord] = []
-
-    def record(self, record: FetchRecord) -> None:
-        self._records.append(record)
-
-    @property
-    def records(self) -> tuple[FetchRecord, ...]:
-        return tuple(self._records)
-
-    def hosts(self) -> set[str]:
-        """Every host contacted."""
-        return {record.url.host for record in self._records}
-
-    def third_party_domains(self, page_domain: str) -> set[str]:
-        """Registrable domains of objects not belonging to the page."""
-        domains = {etld_plus_one(record.url.host) for record in self._records}
-        domains.discard(page_domain)
-        return domains
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 @dataclass
@@ -72,25 +33,3 @@ class BrowserCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-
-class NetworkStack:
-    """Fetch pipeline: consults the cache, then logs the download."""
-
-    def __init__(self, cache: BrowserCache | None = None) -> None:
-        self.cache = cache if cache is not None else BrowserCache()
-
-    def fetch(
-        self, url: Url, page_domain: str, now: Timestamp, log: NetworkLog
-    ) -> FetchRecord:
-        """Fetch one object for the page being rendered on ``page_domain``."""
-        cached = url in self.cache
-        record = FetchRecord(
-            url=url,
-            at=now,
-            from_cache=cached,
-            first_party=etld_plus_one(url.host) == page_domain,
-        )
-        log.record(record)
-        if not cached:
-            self.cache.add(url)
-        return record

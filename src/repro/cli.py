@@ -35,8 +35,8 @@ from repro.analysis.export import export_study
 from repro.analysis.questionable import figure5
 from repro.crawler.archive import load_crawl, save_crawl
 from repro.crawler.campaign import CrawlCampaign
-from repro.crawler.executor import BACKEND_ENV_VAR, BACKEND_NAMES
-from repro.crawler.parallel import ShardedCrawl
+from repro.crawler.checkpoint import RetryPolicy
+from repro.crawler.crawl import Crawl
 from repro.crawler.wellknown import probe_domain
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.paper import render_comparisons
@@ -48,6 +48,7 @@ from repro.privacy.experiment import (
     sweep_epochs,
     sweep_noise,
 )
+from repro.util.executor import BACKEND_ENV_VAR, BACKEND_NAMES
 from repro.util.timeline import timestamp_from_date
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -111,73 +112,39 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry() if instrument else NULL_METRICS
 
     world = WebGenerator(_world_config(args)).generate()
-
+    spans = SpanRecorder() if recording else NULL_RECORDER
+    crawl = Crawl(
+        world,
+        checkpoint_dir=args.checkpoint_dir or None,
+        shard_count=max(args.shards, 1),
+        checkpoint_every=args.checkpoint_every,
+        corrupt_allowlist=not args.healthy_allowlist,
+        max_workers=args.max_workers,
+        backend=args.backend,
+        limit=args.limit,
+        resume=args.resume,
+        allow_partial=args.allow_partial,
+        retry_policy=RetryPolicy(max_retries=args.max_shard_retries),
+        tracer=tracer,
+        metrics=metrics,
+        spans=spans,
+    )
     tracker = None
-    spans = NULL_RECORDER
-    if recording:
-        targets = len(world.tranco.domains)
-        if args.shards <= 1 and args.limit is not None:
-            targets = min(targets, args.limit)
-        if args.progress:
-            shard_sizes = None
-            if args.shards > 1:
-                from repro.crawler.parallel import plan_shards
+    if args.progress:
+        sizes = {plan.shard_index: len(plan.domains) for plan in crawl.plans}
+        tracker = ProgressTracker(
+            sum(sizes.values()), shard_sizes=sizes if len(sizes) > 1 else None
+        )
+        spans.listener = tracker
 
-                shard_sizes = {
-                    plan.shard_index: len(plan.domains)
-                    for plan in plan_shards(world.tranco, args.shards)
-                }
-            tracker = ProgressTracker(targets, shard_sizes=shard_sizes)
-        spans = SpanRecorder(listener=tracker)
-
-    partial = None
-    if args.checkpoint_dir:
-        from repro.crawler.checkpoint import RetryPolicy
-        from repro.crawler.resumable import ResumableCrawl
-
-        outcome = ResumableCrawl(
-            world,
-            checkpoint_dir=args.checkpoint_dir,
-            shard_count=max(args.shards, 1),
-            checkpoint_every=args.checkpoint_every,
-            corrupt_allowlist=not args.healthy_allowlist,
-            max_workers=args.max_workers,
-            backend=args.backend,
-            limit=args.limit,
-            resume=args.resume,
-            allow_partial=args.allow_partial,
-            retry_policy=RetryPolicy(max_retries=args.max_shard_retries),
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
-        ).run()
-        result = outcome.result
-        partial = outcome.partial
-        if outcome.resumed_shards:
-            resumed = ", ".join(str(s) for s in outcome.resumed_shards)
-            print(f"resumed shards {resumed} from {args.checkpoint_dir}/")
-        if outcome.retries:
-            print(f"recovered from {len(outcome.retries)} shard failure(s)")
-    elif args.shards > 1:
-        result = ShardedCrawl(
-            world,
-            shard_count=args.shards,
-            corrupt_allowlist=not args.healthy_allowlist,
-            max_workers=args.max_workers,
-            backend=args.backend,
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
-        ).run()
-    else:
-        result = CrawlCampaign(
-            world,
-            corrupt_allowlist=not args.healthy_allowlist,
-            limit=args.limit,
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
-        ).run()
+    outcome = crawl.run()
+    result = outcome.result
+    partial = outcome.partial
+    if outcome.resumed_shards:
+        resumed = ", ".join(str(s) for s in outcome.resumed_shards)
+        print(f"resumed shards {resumed} from {args.checkpoint_dir}/")
+    if outcome.retries:
+        print(f"recovered from {len(outcome.retries)} shard failure(s)")
     if tracker is not None:
         tracker.finish()
     report = result.report

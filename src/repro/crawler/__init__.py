@@ -8,6 +8,11 @@
   encountered party;
 * :mod:`repro.crawler.campaign` — the full Before-Accept / After-Accept
   crawl over a Tranco-style ranking;
+* :mod:`repro.crawler.crawl` — :class:`~repro.crawler.crawl.Crawl`, the
+  one crawl driver: the campaign as merged shards on any backend, made
+  durable (checkpoints, retries, resume) by a checkpoint directory;
+* :mod:`repro.crawler.executor` — the one shard executor every backend
+  runs;
 * :mod:`repro.crawler.repeats` — repeated-visit probing used to detect
   time-alternating A/B tests (§3).
 """

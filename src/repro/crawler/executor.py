@@ -1,53 +1,53 @@
-"""Pluggable crawl execution backends: serial, thread, process.
+"""Shard execution: one executor for every shard on every backend.
 
-The campaign's visit simulation is pure-Python and CPU-bound, so a
-``ThreadPoolExecutor`` buys concurrency bookkeeping but no parallelism —
-the GIL serialises the actual work.  This module makes the execution
-strategy a first-class, swappable component:
-
-* ``serial``  — run shards one after another in the calling thread (the
-  reference executor: zero scheduling noise, easiest to debug);
-* ``thread``  — the historical default: one worker thread per shard
-  (cheap to start, shares the in-memory world, GIL-bound);
-* ``process`` — one worker **process** per shard via
-  ``ProcessPoolExecutor`` on the spawn context: true multi-core
-  parallelism for the CPU-bound visit loop.
+:func:`execute_shard` runs one slice of the ranking to completion.  The
+same function handles a fresh shard, one resumed from its newest
+checkpoint and one retried after a crash; without a checkpoint store it
+is a plain run whose first failure propagates.  The backend strategies
+(``serial``, ``thread``, ``process``) live in :mod:`repro.util.executor`
+and only decide *where* this function runs.
 
 Because worker processes share nothing, the process backend needs every
 shard input to be picklable and every shard output to travel back as
 plain data:
 
 * a :class:`ShardTask` carries the shard's :class:`ShardPlan` (rank
-  slice), the campaign knobs, and a :class:`WorldSpec` — the
-  :class:`~repro.web.config.WorldConfig` plus a fingerprint of the
-  ranking.  The worker **reconstructs the world from the deterministic
-  generator** and verifies the fingerprint, so a shard can never
-  silently crawl a different world than its parent planned;
+  slice), the executor's keyword options, the checkpoint directory and
+  a :class:`WorldSpec` — the :class:`~repro.web.config.WorldConfig`
+  plus a fingerprint of the ranking.  The worker **reconstructs the
+  world from the deterministic generator** and verifies the
+  fingerprint, so a shard can never silently crawl a different world
+  than its parent planned;
 * a :class:`ShardResult` carries the visit records, report counters,
-  trace events, metrics snapshot and span tree back to the parent,
-  which rehydrates them into the same in-memory shapes the thread
-  backend produces — one merge implementation, zero drift.
+  trace events, metrics snapshot, span tree and retry accounting back
+  to the parent, which rehydrates them into the same
+  :class:`ShardOutcome` the in-process backends produce — one merge
+  implementation, zero drift.
 
 Reconstructed worlds are cached per worker process (keyed by
 fingerprint) and worker pools are reused across runs, so repeated
 campaigns over the same world pay the generator cost once per worker.
-
-The backend is chosen per run: explicitly (``backend=`` /
-``--backend``), or via the ``REPRO_CRAWL_BACKEND`` environment variable,
-defaulting to ``thread``.  All three backends produce **byte-identical**
-datasets, reports and merged traces — shards are deterministic and
-order-independent, and the tests pin this across backends, including
-resumed-after-crash process runs.
+All three backends produce **byte-identical** datasets, reports and
+merged traces — shards are deterministic and order-independent, and the
+tests pin this across backends, including resumed-after-crash process
+runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
 from repro.crawler.campaign import CrawlCampaign, CrawlReport, CrawlResult
-from repro.crawler.checkpoint import CheckpointStore, RetryPolicy
+from repro.crawler.checkpoint import (
+    CheckpointStore,
+    MissingRange,
+    RetryPolicy,
+    ShardCheckpoint,
+    restore_datasets,
+)
 from repro.crawler.columnar import VisitBuffers
 from repro.crawler.dataset import Dataset
 from repro.crawler.wellknown import AttestationSurvey
@@ -64,21 +64,6 @@ from repro.obs import (
     Tracer,
 )
 from repro.obs.spans import SPAN_SHARD, SPAN_SHARD_RETRY
-from repro.util.executor import (  # noqa: F401  — re-exported: the backend
-    # strategies moved to their shared home (repro.util.executor) when the
-    # population data plane started sharding over them too; every crawl-era
-    # import path (tests, CLI, scenarios) keeps working through this module.
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    create_backend,
-    is_picklable,
-    resolve_backend_name,
-)
 from repro.util.text import stable_digest
 from repro.web.tranco import TrancoList
 
@@ -142,16 +127,6 @@ class _ShardView:
 # -- shard outcomes ------------------------------------------------------------
 
 
-@dataclass
-class ShardOutcome:
-    """One shard's result plus its private instrumentation."""
-
-    result: CrawlResult
-    tracer: Tracer
-    metrics: MetricsRegistry
-    spans: SpanRecorder = NULL_RECORDER
-
-
 @dataclass(frozen=True)
 class ShardRetryRecord:
     """One shard restart, for the campaign's retry accounting."""
@@ -164,14 +139,21 @@ class ShardRetryRecord:
 
 
 @dataclass
-class ShardExecution:
-    """A resumable shard's full outcome: success or degraded prefix."""
+class ShardOutcome:
+    """One shard's result plus its private instrumentation.
 
-    plan: ShardPlan
-    outcome: ShardOutcome | None
-    retries: list[ShardRetryRecord] = field(default_factory=list)
+    A shard that exhausted its retries under ``allow_partial`` still has
+    an outcome: its durable checkpointed prefix, with ``missing`` naming
+    the global ranks it never delivered.
+    """
+
+    result: CrawlResult
+    tracer: Tracer
+    metrics: MetricsRegistry
+    spans: SpanRecorder = NULL_RECORDER
+    retries: tuple[ShardRetryRecord, ...] = ()
     resumed_from: int | None = None  # on-disk checkpoint the first attempt used
-    failure: str | None = None
+    missing: MissingRange | None = None
 
 
 class ShardFailedError(RuntimeError):
@@ -194,6 +176,13 @@ class ShardFailedError(RuntimeError):
         return (type(self), (self.shard_index, self.attempts, self.cause))
 
 
+#: A fault hook: called with (position, domain) before each visit.
+FaultHook = Callable[[int, str], None]
+
+#: Test seam: (shard_index, attempt) -> per-visit fault hook (or None).
+FaultInjector = Callable[[int, int], "FaultHook | None"]
+
+
 # -- core shard execution (shared by every backend) ----------------------------
 
 
@@ -201,213 +190,176 @@ def execute_shard(
     world: "SyntheticWeb",
     plan: ShardPlan,
     *,
-    corrupt_allowlist: bool,
-    trace: bool,
-    metrics: bool,
-    spans: bool,
+    store: CheckpointStore | None = None,
+    checkpoint_every: int = 500,
+    resume: bool = False,
+    corrupt_allowlist: bool = True,
+    policy: RetryPolicy | None = None,
+    allow_partial: bool = False,
+    fault_injector: FaultInjector | None = None,
+    trace: bool = False,
+    metrics: bool = False,
+    spans: bool = False,
     span_listener: Callable[[Span], None] | None = None,
 ) -> ShardOutcome:
-    """Run one shard of a plain (non-resumable) campaign.
+    """Run one shard to completion: fresh, resumed or retried.
 
-    Each shard records into private instrumentation so workers never
+    Each attempt records into private instrumentation so workers never
     contend; the merge folds them deterministically.  Span recorders
     take the campaign recorder's listener so a live progress line keeps
     updating from every worker thread (process workers deliver their
     spans when the shard completes instead).
+
+    Without a ``store`` there is nothing to resume or retry from, so the
+    first failure propagates as is.  With one, the shard checkpoints
+    every ``checkpoint_every`` visits, ``resume`` starts it from its
+    newest checkpoint, and a failed attempt restarts from the newest
+    checkpoint after the ``policy`` backoff.  Once the retry budget is
+    spent it raises :class:`ShardFailedError` — or, with
+    ``allow_partial``, returns the durable prefix as a degraded outcome.
     """
-    tracer = Tracer() if trace else NULL_TRACER
-    registry = MetricsRegistry() if metrics else NULL_METRICS
-    recorder = (
-        SpanRecorder(
-            common_fields={"shard": plan.shard_index},
-            listener=span_listener,
-        )
-        if spans
-        else NULL_RECORDER
+    policy = policy or RetryPolicy()
+    retries: list[ShardRetryRecord] = []
+    checkpoint = (
+        store.latest(plan.shard_index) if resume and store is not None else None
     )
-    tracer.emit(
-        EventKind.SHARD_STARTED,
-        at=0,
-        shard=plan.shard_index,
-        domains=len(plan.domains),
-        rank_offset=plan.rank_offset,
-    )
+    resumed_from = checkpoint.visits_done if checkpoint is not None else None
     # A private ranking restores the shard's global ranks via the
     # campaign's enumerate; ranks are rebased during the merge.
     shard_world = _ShardView(world, TrancoList(plan.domains))
-    campaign = CrawlCampaign(
-        shard_world,  # type: ignore[arg-type]  # structural stand-in
-        corrupt_allowlist=corrupt_allowlist,
-        user_seed=plan.shard_index,
-        tracer=tracer,
-        metrics=registry,
-        spans=recorder,
-        span_root=SPAN_SHARD,
-        survey=False,
-    )
-    return ShardOutcome(
-        result=campaign.run(), tracer=tracer, metrics=registry, spans=recorder
-    )
-
-
-def execute_resumable_shard(
-    world: "SyntheticWeb",
-    plan: ShardPlan,
-    *,
-    store: CheckpointStore,
-    checkpoint_every: int,
-    resume: bool,
-    corrupt_allowlist: bool,
-    policy: RetryPolicy,
-    allow_partial: bool,
-    fault_injector: Callable[[int, int], Callable[[int, str], None] | None]
-    | None = None,
-    trace: bool,
-    metrics: bool,
-    spans: bool,
-    span_listener: Callable[[Span], None] | None = None,
-) -> ShardExecution:
-    """Run one shard to completion, retrying from its checkpoints.
-
-    Raises :class:`ShardFailedError` once the retry budget is exhausted
-    unless ``allow_partial`` — then the durable prefix is reported as a
-    degraded :class:`ShardExecution` with ``outcome=None``.
-    """
-    failures = 0
-    retries: list[ShardRetryRecord] = []
-    initial_resume: int | None = None
     while True:
-        checkpoint = None
-        if resume or failures > 0:
-            checkpoint = store.latest(plan.shard_index)
-        if failures == 0 and checkpoint is not None:
-            initial_resume = checkpoint.visits_done
-        attempt = failures + 1
-        try:
-            outcome = _attempt_resumable_shard(
-                world,
-                plan,
-                checkpoint,
-                attempt,
-                store=store,
-                checkpoint_every=checkpoint_every,
-                corrupt_allowlist=corrupt_allowlist,
-                fault_injector=fault_injector,
-                trace=trace,
-                metrics=metrics,
-                spans=spans,
-                span_listener=span_listener,
+        attempt = len(retries) + 1
+        tracer = Tracer() if trace else NULL_TRACER
+        registry = MetricsRegistry() if metrics else NULL_METRICS
+        recorder = (
+            SpanRecorder(
+                common_fields={"shard": plan.shard_index},
+                listener=span_listener,
             )
+            if spans
+            else NULL_RECORDER
+        )
+        tracer.emit(
+            EventKind.SHARD_STARTED,
+            at=checkpoint.clock_now if checkpoint is not None else 0,
+            shard=plan.shard_index,
+            domains=len(plan.domains),
+            rank_offset=plan.rank_offset,
+            attempt=attempt,
+            resumed_from=checkpoint.visits_done if checkpoint is not None else 0,
+        )
+        campaign = CrawlCampaign(
+            shard_world,  # type: ignore[arg-type]  # structural stand-in
+            corrupt_allowlist=corrupt_allowlist,
+            user_seed=plan.shard_index,
+            tracer=tracer,
+            metrics=registry,
+            spans=recorder,
+            span_root=SPAN_SHARD,
+            survey=False,
+            shard_index=plan.shard_index,
+            checkpoint_store=store,
+            checkpoint_every=checkpoint_every,
+            resume_from=checkpoint,
+            fault_hook=(
+                fault_injector(plan.shard_index, attempt)
+                if fault_injector is not None
+                else None
+            ),
+        )
+        try:
+            result = campaign.run()
         except Exception as exc:  # noqa: BLE001 — any shard death is retryable
-            failures += 1
-            if failures > policy.max_retries:
+            if store is None:
+                raise
+            checkpoint = store.latest(plan.shard_index)
+            if len(retries) >= policy.max_retries:
                 if allow_partial:
-                    return ShardExecution(
-                        plan=plan,
-                        outcome=None,
-                        retries=retries,
-                        resumed_from=initial_resume,
-                        failure=repr(exc),
+                    return _degraded_outcome(
+                        plan, checkpoint, retries, resumed_from, repr(exc)
                     )
-                raise ShardFailedError(plan.shard_index, failures, exc) from exc
+                raise ShardFailedError(plan.shard_index, attempt, exc) from exc
             # Capped exponential backoff on the *simulated* retry
             # timeline: the pause is accounted for in spans/metrics but
             # never advances the shard's browsing clock, so the resumed
             # dataset stays byte-identical.
-            backoff = policy.backoff_seconds(failures)
-            resumed_from = store.latest(plan.shard_index)
             retries.append(
                 ShardRetryRecord(
                     shard_index=plan.shard_index,
-                    attempt=failures,
-                    backoff_seconds=backoff,
+                    attempt=attempt,
+                    backoff_seconds=policy.backoff_seconds(attempt),
                     resumed_from=(
-                        resumed_from.visits_done
-                        if resumed_from is not None
-                        else 0
+                        checkpoint.visits_done if checkpoint is not None else 0
                     ),
                     error=repr(exc),
                 )
             )
             continue
-        _record_shard_recovery(outcome, retries)
-        return ShardExecution(
-            plan=plan,
-            outcome=outcome,
-            retries=retries,
-            resumed_from=initial_resume,
+        outcome = ShardOutcome(
+            result=result,
+            tracer=tracer,
+            metrics=registry,
+            spans=recorder,
+            retries=tuple(retries),
+            resumed_from=resumed_from,
         )
+        _record_shard_recovery(outcome)
+        return outcome
 
 
-def _attempt_resumable_shard(
-    world: "SyntheticWeb",
+#: The resumable executor's former name.  Its only reason to exist is
+#: ``perfbench/tracing.py``, which wraps it by this name under
+#: ``--trace 1``; delete it once perfbench wraps ``execute_shard`` alone.
+execute_resumable_shard = execute_shard
+
+
+def _degraded_outcome(
     plan: ShardPlan,
-    checkpoint,
-    attempt: int,
-    *,
-    store: CheckpointStore,
-    checkpoint_every: int,
-    corrupt_allowlist: bool,
-    fault_injector,
-    trace: bool,
-    metrics: bool,
-    spans: bool,
-    span_listener: Callable[[Span], None] | None,
+    checkpoint: ShardCheckpoint | None,
+    retries: list[ShardRetryRecord],
+    resumed_from: int | None,
+    error: str,
 ) -> ShardOutcome:
-    """One execution attempt of a resumable shard (fresh instrumentation)."""
-    tracer = Tracer() if trace else NULL_TRACER
-    registry = MetricsRegistry() if metrics else NULL_METRICS
-    recorder = (
-        SpanRecorder(
-            common_fields={"shard": plan.shard_index},
-            listener=span_listener,
-        )
-        if spans
-        else NULL_RECORDER
-    )
-    tracer.emit(
-        EventKind.SHARD_STARTED,
-        at=checkpoint.clock_now if checkpoint is not None else 0,
-        shard=plan.shard_index,
-        domains=len(plan.domains),
-        rank_offset=plan.rank_offset,
-        attempt=attempt,
-        resumed_from=checkpoint.visits_done if checkpoint is not None else 0,
-    )
-    fault_hook = None
-    if fault_injector is not None:
-        fault_hook = fault_injector(plan.shard_index, attempt)
-    shard_world = _ShardView(world, TrancoList(plan.domains))
-    campaign = CrawlCampaign(
-        shard_world,  # type: ignore[arg-type]  # structural stand-in
-        corrupt_allowlist=corrupt_allowlist,
-        user_seed=plan.shard_index,
-        tracer=tracer,
-        metrics=registry,
-        spans=recorder,
-        span_root=SPAN_SHARD,
-        survey=False,
-        shard_index=plan.shard_index,
-        checkpoint_store=store,
-        checkpoint_every=checkpoint_every,
-        resume_from=checkpoint,
-        fault_hook=fault_hook,
+    """A mergeable outcome for a shard that gave up: its durable prefix."""
+    if checkpoint is None:
+        d_ba, d_aa = Dataset("D_BA"), Dataset("D_AA")
+        report = CrawlReport(targets=len(plan.domains))
+        visits_done = 0
+    else:
+        d_ba, d_aa = restore_datasets(checkpoint)
+        report = CrawlReport(**dataclasses.asdict(checkpoint.report))
+        report.finished_at = checkpoint.clock_now
+        visits_done = checkpoint.visits_done
+    result = CrawlResult(
+        d_ba=d_ba,
+        d_aa=d_aa,
+        report=report,
+        allowed_domains=frozenset(),
+        survey=AttestationSurvey(()),
     )
     return ShardOutcome(
-        result=campaign.run(), tracer=tracer, metrics=registry, spans=recorder
+        result=result,
+        tracer=NULL_TRACER,
+        metrics=NULL_METRICS,
+        retries=tuple(retries),
+        resumed_from=resumed_from,
+        missing=MissingRange(
+            shard_index=plan.shard_index,
+            from_rank=plan.rank_offset + visits_done + 1,
+            to_rank=plan.rank_offset + len(plan.domains),
+            error=error,
+        ),
     )
 
 
-def _record_shard_recovery(
-    outcome: ShardOutcome, retries: list[ShardRetryRecord]
-) -> None:
+def _record_shard_recovery(outcome: ShardOutcome) -> None:
     """Stamp a recovered shard's retries into its own instrumentation.
 
     Recorded into the successful attempt's tracer/metrics/spans (not the
     shared campaign-level ones) so workers never contend; the standard
     shard fold then merges them deterministically.
     """
-    for retry in retries:
+    for retry in outcome.retries:
         outcome.metrics.counter("shard_retries_total")
         outcome.metrics.counter(
             "shard_backoff_seconds_total", retry.backoff_seconds
@@ -516,21 +468,16 @@ def worker_world(spec: WorldSpec) -> "SyntheticWeb":
 
 @dataclass(frozen=True)
 class ShardTask:
-    """A shard's complete, picklable execution order for a worker process."""
+    """A shard's complete, picklable execution order for a worker process.
+
+    ``options`` are :func:`execute_shard`'s keyword arguments apart from
+    the store, which the worker reopens from ``checkpoint_dir``.
+    """
 
     spec: WorldSpec
     plan: ShardPlan
-    corrupt_allowlist: bool
-    trace: bool
-    metrics: bool
-    spans: bool
-    # Resumable-campaign extras; checkpoint_dir None means a plain shard.
-    checkpoint_dir: str | None = None
-    checkpoint_every: int | None = None
-    resume: bool = False
-    retry_policy: RetryPolicy | None = None
-    allow_partial: bool = False
-    fault_injector: object | None = None  # must be picklable when set
+    checkpoint_dir: str | None
+    options: dict  # fault_injector, when set, must be picklable
 
 
 @dataclass(frozen=True)
@@ -552,23 +499,17 @@ class ShardResult:
     shard_index: int
     d_ba: VisitBuffers
     d_aa: VisitBuffers
-    report: CrawlReport | None
+    report: CrawlReport
     allowed_domains: frozenset[str]
     events: tuple[TraceEvent, ...] | None
     metrics: MetricsSnapshot | None
     spans: tuple[Span, ...] | None
     retries: tuple[ShardRetryRecord, ...] = ()
     resumed_from: int | None = None
-    failure: str | None = None
+    missing: MissingRange | None = None
 
 
-def result_from_outcome(
-    shard_index: int,
-    outcome: ShardOutcome,
-    *,
-    retries: Sequence[ShardRetryRecord] = (),
-    resumed_from: int | None = None,
-) -> ShardResult:
+def result_from_outcome(shard_index: int, outcome: ShardOutcome) -> ShardResult:
     """Flatten an in-memory shard outcome into its picklable transport."""
     result = outcome.result
     return ShardResult(
@@ -580,8 +521,9 @@ def result_from_outcome(
         events=tuple(outcome.tracer) if outcome.tracer.enabled else None,
         metrics=outcome.metrics.snapshot() if outcome.metrics.enabled else None,
         spans=tuple(outcome.spans.spans()) if outcome.spans.enabled else None,
-        retries=tuple(retries),
-        resumed_from=resumed_from,
+        retries=outcome.retries,
+        resumed_from=outcome.resumed_from,
+        missing=outcome.missing,
     )
 
 
@@ -599,8 +541,6 @@ def outcome_from_result(
     still observes every span — batched at shard completion rather than
     live.
     """
-    if result.report is None:
-        raise ValueError("cannot rehydrate a failed shard (report is None)")
     tracer: Tracer = NULL_TRACER
     if result.events is not None:
         tracer = Tracer()
@@ -628,6 +568,9 @@ def outcome_from_result(
         tracer=tracer,
         metrics=registry,
         spans=recorder,
+        retries=result.retries,
+        resumed_from=result.resumed_from,
+        missing=result.missing,
     )
 
 
@@ -638,51 +581,13 @@ def run_shard_task(task: ShardTask) -> ShardResult:
     per-process world cache makes repeated shards over one world pay the
     generator exactly once per worker.
     """
-    world = _world_for(task.spec)
-    if task.checkpoint_dir is None:
-        outcome = execute_shard(
-            world,
-            task.plan,
-            corrupt_allowlist=task.corrupt_allowlist,
-            trace=task.trace,
-            metrics=task.metrics,
-            spans=task.spans,
-        )
-        return result_from_outcome(task.plan.shard_index, outcome)
-    execution = execute_resumable_shard(
-        world,
-        task.plan,
-        store=CheckpointStore(task.checkpoint_dir),
-        checkpoint_every=task.checkpoint_every or 500,
-        resume=task.resume,
-        corrupt_allowlist=task.corrupt_allowlist,
-        policy=task.retry_policy or RetryPolicy(),
-        allow_partial=task.allow_partial,
-        fault_injector=task.fault_injector,  # type: ignore[arg-type]
-        trace=task.trace,
-        metrics=task.metrics,
-        spans=task.spans,
+    store = None
+    if task.checkpoint_dir is not None:
+        store = CheckpointStore(task.checkpoint_dir)
+    outcome = execute_shard(
+        _world_for(task.spec), task.plan, store=store, **task.options
     )
-    if execution.outcome is None:
-        return ShardResult(
-            shard_index=task.plan.shard_index,
-            d_ba=VisitBuffers(),
-            d_aa=VisitBuffers(),
-            report=None,
-            allowed_domains=frozenset(),
-            events=None,
-            metrics=None,
-            spans=None,
-            retries=tuple(execution.retries),
-            resumed_from=execution.resumed_from,
-            failure=execution.failure,
-        )
-    return result_from_outcome(
-        task.plan.shard_index,
-        execution.outcome,
-        retries=execution.retries,
-        resumed_from=execution.resumed_from,
-    )
+    return result_from_outcome(task.plan.shard_index, outcome)
 
 
 # -- deterministic, picklable fault injection (test seam) ----------------------

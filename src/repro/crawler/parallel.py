@@ -1,323 +1,27 @@
-"""Sharded crawling: the 50k-site campaign split across browser instances.
+"""``ShardedCrawl``: the former plain sharded driver, now a shim over
+:class:`repro.crawler.crawl.Crawl`.
 
-Real measurement campaigns parallelise exactly this way — the ranking is
-partitioned, each worker drives its own browser profile, and the shards'
-records are merged afterwards.  Shards here are *fully deterministic and
-order-independent*: every shard gets its own browser (history, cache,
-consent ledger, clock) and its own user seed, so the merged datasets are
-identical no matter how the executor schedules the work — which the tests
-pin by comparing against the sequential campaign shard-by-shard.
-
-*How* shards execute is delegated to :mod:`repro.crawler.executor`: the
-``serial`` backend runs them inline, ``thread`` (the default) uses a
-worker-thread pool, and ``process`` runs each shard in a worker process
-for true multi-core parallelism — the worker rebuilds the world from its
-deterministic config and ships a picklable :class:`ShardResult` back.
-All backends feed the same :meth:`ShardedCrawl._merge`, so the choice is
-purely a scheduling decision with byte-identical output.
-
-The merge must reproduce what :meth:`CrawlCampaign.run` would have done
-over the whole ranking: the attestation survey is built from the shared
-:func:`repro.crawler.campaign.attestation_targets` helper (both datasets,
-not just ``D_BA``), and the merged report keeps honest timestamps —
-``started_at`` is the earliest shard start, ``finished_at`` the latest
-shard finish, so ``duration_seconds`` stays the parallel wall-clock.
-
-With instrumentation on, every shard records into its own tracer and
-metrics registry (no cross-thread sharing); the merge replays shard
-events into the campaign-level tracer tagged with the shard index and
-folds the metric snapshots together, adding per-shard skew gauges.
+Its only reason to exist is ``perfbench/workloads.py``, which imports
+it; new code calls :class:`~repro.crawler.crawl.Crawl` directly, and
+this module goes once perfbench does too.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.crawler.campaign import (
-    CrawlReport,
-    CrawlResult,
-    attestation_targets,
-)
-from repro.crawler.dataset import Dataset
-from repro.crawler.executor import (
-    ExecutionBackend,
-    ShardOutcome,
-    ShardPlan,
-    ShardTask,
-    WorldSpec,
-    _ShardView as _ShardView,  # noqa: PLC0414 — re-export for legacy importers
-    create_backend,
-    execute_shard,
-    outcome_from_result,
-    plan_shards,
-    run_shard_task,
-)
-from repro.crawler.wellknown import survey_attestations
-from repro.obs import (
-    EventKind,
-    MetricsRegistry,
-    NULL_METRICS,
-    NULL_RECORDER,
-    NULL_TRACER,
-    SpanRecorder,
-    Tracer,
-)
-from repro.obs.spans import SPAN_CAMPAIGN
+from repro.crawler.campaign import CrawlResult
+from repro.crawler.crawl import Crawl
 
 if TYPE_CHECKING:
     from repro.web.generator import SyntheticWeb
 
-#: Backwards-compatible aliases — these classes lived here before the
-#: execution-backend split; external code imports them from this module.
-_ShardOutcome = ShardOutcome
 
-__all__ = [
-    "ShardPlan",
-    "ShardedCrawl",
-    "plan_shards",
-    "effective_shard_count",
-]
+class ShardedCrawl(Crawl):
+    """A store-less :class:`Crawl` whose ``run()`` returns the result only."""
 
+    def __init__(self, world: "SyntheticWeb", shard_count: int = 4, **options) -> None:
+        super().__init__(world, shard_count=shard_count, **options)
 
-def effective_shard_count(
-    requested: int, targets: int, tracer: Tracer = NULL_TRACER
-) -> int:
-    """Clamp a shard count to the number of crawl targets.
-
-    A campaign asked to split 6 domains across 16 shards used to plan 10
-    empty shards (filtered later) while still sizing its worker pool for
-    16 — pure overhead.  Clamping keeps the plan layout identical (the
-    remainder distribution gives the same slices either way) and records
-    the adjustment as a ``shard-empty`` trace event.
-    """
-    if requested <= 0:
-        raise ValueError(f"shard_count must be positive, got {requested}")
-    effective = max(1, min(requested, targets))
-    if effective < requested:
-        tracer.emit(
-            EventKind.SHARD_EMPTY,
-            at=0,
-            requested=requested,
-            effective=effective,
-            targets=targets,
-        )
-    return effective
-
-
-class ShardedCrawl:
-    """Run a campaign as N independent shards and merge the results."""
-
-    def __init__(
-        self,
-        world: "SyntheticWeb",
-        shard_count: int = 4,
-        corrupt_allowlist: bool = True,
-        max_workers: int | None = None,
-        backend: "str | ExecutionBackend | None" = None,
-        tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry = NULL_METRICS,
-        spans: SpanRecorder = NULL_RECORDER,
-    ) -> None:
-        if shard_count <= 0:
-            # Fail at construction, not at run(): a zero/negative count is
-            # always a caller bug, and surfacing it here keeps the
-            # traceback next to the mistake.
-            raise ValueError(f"shard_count must be positive, got {shard_count}")
-        self._world = world
-        self._shard_count = shard_count
-        self._corrupt_allowlist = corrupt_allowlist
-        self._max_workers = max_workers
-        self._backend = backend
-        self._tracer = tracer
-        self._metrics = metrics
-        self._spans = spans
-
-    def run(self) -> CrawlResult:
-        shard_count = effective_shard_count(
-            self._shard_count, len(self._world.tranco.domains), self._tracer
-        )
-        plans = plan_shards(self._world.tranco, shard_count)
-        workers = min(self._max_workers or shard_count, max(len(plans), 1))
-        backend = create_backend(self._backend, workers)
-        outcomes = self._execute(backend, plans)
-        return self._merge(plans, outcomes)
-
-    def _execute(
-        self, backend: ExecutionBackend, plans: list[ShardPlan]
-    ) -> list[ShardOutcome]:
-        if backend.name != "process":
-            return backend.map(self._run_shard, plans)
-        # Process workers share nothing: each receives a picklable task
-        # (world config + fingerprint + its plan), rebuilds the world,
-        # and ships a plain-data result back for rehydration.
-        spec = WorldSpec.of(self._world)
-        tasks = [
-            ShardTask(
-                spec=spec,
-                plan=plan,
-                corrupt_allowlist=self._corrupt_allowlist,
-                trace=self._tracer.enabled,
-                metrics=self._metrics.enabled,
-                spans=self._spans.enabled,
-            )
-            for plan in plans
-        ]
-        results = backend.map(run_shard_task, tasks)
-        listener = self._spans.listener if self._spans.enabled else None
-        return [
-            outcome_from_result(result, span_listener=listener)
-            for result in results
-        ]
-
-    def _run_shard(self, plan: ShardPlan) -> ShardOutcome:
-        return execute_shard(
-            self._world,
-            plan,
-            corrupt_allowlist=self._corrupt_allowlist,
-            trace=self._tracer.enabled,
-            metrics=self._metrics.enabled,
-            spans=self._spans.enabled,
-            span_listener=self._spans.listener if self._spans.enabled else None,
-        )
-
-    def _merge(
-        self, plans: list[ShardPlan], outcomes: list[ShardOutcome]
-    ) -> CrawlResult:
-        merged_ba = Dataset("D_BA")
-        merged_aa = Dataset("D_AA")
-        report = CrawlReport()
-        instrumented = self._tracer.enabled or self._metrics.enabled
-
-        for position, (plan, outcome) in enumerate(zip(plans, outcomes)):
-            result = outcome.result
-            # Whole-column splice with the rank rebase applied in bulk —
-            # the merge never touches per-record objects.
-            merged_ba.extend_rebased(result.d_ba, plan.rank_offset)
-            merged_aa.extend_rebased(result.d_aa, plan.rank_offset)
-            report.targets += result.report.targets
-            report.ok += result.report.ok
-            report.failed += result.report.failed
-            report.banners_seen += result.report.banners_seen
-            report.accepted += result.report.accepted
-            report.retried += result.report.retried
-            report.recovered += result.report.recovered
-            for kind, count in result.report.failure_kinds.items():
-                report.failure_kinds[kind] = (
-                    report.failure_kinds.get(kind, 0) + count
-                )
-            # Honest campaign timestamps: the parallel campaign starts
-            # when the first shard starts and finishes when the slowest
-            # one does, so duration_seconds stays the wall-clock.
-            if position == 0:
-                report.started_at = result.report.started_at
-            else:
-                report.started_at = min(
-                    report.started_at, result.report.started_at
-                )
-            report.finished_at = max(
-                report.finished_at, result.report.finished_at
-            )
-
-        if instrumented:
-            self._fold_instrumentation(plans, outcomes)
-            self._metrics.gauge("crawl_targets", report.targets)
-            self._metrics.gauge("crawl_duration_seconds", report.duration_seconds)
-            self._metrics.gauge("shard_count", len(plans))
-
-        root_id = None
-        if self._spans.enabled:
-            root_id = self._fold_spans(plans, outcomes, report)
-
-        allowed = frozenset(self._world.registry.allowed_domains())
-        encountered = attestation_targets(merged_ba, merged_aa, allowed)
-        survey = survey_attestations(
-            self._world,
-            encountered,
-            report.finished_at,
-            tracer=self._tracer,
-            metrics=self._metrics,
-            spans=self._spans,
-        )
-        if root_id is not None:
-            self._spans.exit(at=float(report.finished_at))
-        return CrawlResult(
-            d_ba=merged_ba,
-            d_aa=merged_aa,
-            report=report,
-            allowed_domains=allowed,
-            survey=survey,
-        )
-
-    def _fold_instrumentation(
-        self, plans: list[ShardPlan], outcomes: list[ShardOutcome]
-    ) -> None:
-        """Fold shard tracers and metrics into the campaign-level pair.
-
-        Shard events interleave in *time* order — sorted by
-        ``(at, shard_index, seq)`` — so the merged trace reads as one
-        chronological campaign rather than shard 0's full history
-        followed by shard 1's.  Per-shard gauges and the ``shard-merged``
-        lifecycle events follow the replayed history.
-        """
-        entries = []
-        for plan, outcome in zip(plans, outcomes):
-            for event in outcome.tracer:
-                entries.append((event.at, plan.shard_index, event.seq, event))
-        entries.sort(key=lambda entry: entry[:3])
-        for at, shard_index, _seq, event in entries:
-            self._tracer.emit(
-                event.kind, at, **{**event.fields, "shard": shard_index}
-            )
-
-        for plan, outcome in zip(plans, outcomes):
-            result = outcome.result
-            self._metrics.absorb(outcome.metrics.snapshot())
-            self._metrics.gauge(
-                "shard_duration_seconds",
-                result.report.duration_seconds,
-                shard=plan.shard_index,
-            )
-            self._metrics.gauge(
-                "shard_visits", result.report.ok, shard=plan.shard_index
-            )
-            self._tracer.emit(
-                EventKind.SHARD_MERGED,
-                at=result.report.finished_at,
-                shard=plan.shard_index,
-                ok=result.report.ok,
-                failed=result.report.failed,
-                accepted=result.report.accepted,
-                duration_seconds=result.report.duration_seconds,
-            )
-
-    def _fold_spans(
-        self,
-        plans: list[ShardPlan],
-        outcomes: list[ShardOutcome],
-        report: CrawlReport,
-    ) -> int:
-        """Graft shard span trees under one campaign-level root.
-
-        Shard spans fold sorted by ``(start, shard_index, span_id)`` —
-        within a shard a parent never sorts after its child, so ids can
-        be remapped in one pass.  Returns the root span id; the caller
-        closes it once the merged survey has recorded its spans.
-        """
-        root_id = self._spans.enter(
-            SPAN_CAMPAIGN,
-            at=float(report.started_at),
-            targets=report.targets,
-            shards=len(plans),
-        )
-        entries = []
-        for plan, outcome in zip(plans, outcomes):
-            for span in outcome.spans:
-                entries.append((span.start, plan.shard_index, span.span_id, span))
-        entries.sort(key=lambda entry: entry[:3])
-        id_map: dict[tuple[int, int], int] = {}
-        for _start, shard_index, old_id, span in entries:
-            parent = id_map.get((shard_index, span.parent_id), root_id)
-            id_map[(shard_index, old_id)] = self._spans.adopt(
-                span, parent_id=parent
-            )
-        return root_id
+    def run(self) -> CrawlResult:  # type: ignore[override]
+        return super().run().result

@@ -1,414 +1,11 @@
-"""Resumable sharded campaigns: checkpoint, crash, retry, resume, merge.
+"""``ResumableCrawl``: the former checkpointing driver's name for
+:class:`repro.crawler.crawl.Crawl`.
 
-:class:`ResumableCrawl` wraps the sharded executor with the durability
-layer a weeks-long campaign needs:
-
-* every shard writes periodic atomic checkpoints
-  (:mod:`repro.crawler.checkpoint`) while it crawls;
-* a shard that dies is retried from its **own last checkpoint** — not
-  from scratch — after capped exponential backoff on the simulated
-  clock (retry pauses live on the orchestrator timeline, never the
-  browsing timeline, so the dataset stays byte-identical to an
-  uninterrupted run);
-* a campaign killed outright is restarted with ``resume=True`` and
-  picks every shard up from its newest durable checkpoint (finished
-  shards load without re-running a single visit);
-* with ``allow_partial=True`` a shard that exhausts its retries
-  degrades gracefully: its checkpointed prefix is merged into the
-  dataset and the missing global-rank ranges are named in a
-  :class:`~repro.crawler.checkpoint.PartialManifest` instead of the
-  whole campaign aborting.
-
-Execution is backend-pluggable (:mod:`repro.crawler.executor`): shards
-run serially, on worker threads, or in worker processes.  Under the
-``process`` backend each worker opens its own :class:`CheckpointStore`
-on the shared directory — checkpoint files are per-shard so they never
-collide, and the manifest update takes a cross-process file lock.  A
-non-picklable ``fault_injector`` (e.g. a test closure) silently
-downgrades ``process`` to ``thread`` rather than failing the campaign —
-use :class:`~repro.crawler.executor.CrashSchedule` for process-backend
-fault injection.
-
-The merge itself is :class:`~repro.crawler.parallel.ShardedCrawl`'s —
-resumable execution is a scheduling concern and must not introduce a
-third merge implementation that could drift.
+Its only reason to exist is ``perfbench/workloads.py``, which imports
+it; new code calls :class:`~repro.crawler.crawl.Crawl` directly, and
+this module goes once perfbench does too.
 """
 
-from __future__ import annotations
+from repro.crawler.crawl import Crawl as ResumableCrawl
 
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable
-
-from repro.crawler.campaign import CrawlReport, CrawlResult
-from repro.crawler.checkpoint import (
-    CheckpointStore,
-    MissingRange,
-    PartialManifest,
-    RetryPolicy,
-    ShardCheckpoint,
-    campaign_fingerprint,
-    restore_datasets,
-)
-from repro.crawler.dataset import Dataset
-from repro.crawler.executor import (
-    ExecutionBackend,
-    ShardExecution,
-    ShardFailedError as ShardFailedError,  # noqa: PLC0414 — re-export
-    ShardOutcome,
-    ShardPlan,
-    ShardResult,
-    ShardRetryRecord as ShardRetryRecord,  # noqa: PLC0414 — re-export
-    ShardTask,
-    WorldSpec,
-    create_backend,
-    execute_resumable_shard,
-    is_picklable,
-    outcome_from_result,
-    plan_shards,
-    result_from_outcome,
-    run_shard_task,
-)
-from repro.crawler.parallel import ShardedCrawl, effective_shard_count
-from repro.crawler.wellknown import AttestationSurvey
-from repro.obs import (
-    EventKind,
-    MetricsRegistry,
-    NULL_METRICS,
-    NULL_RECORDER,
-    NULL_TRACER,
-    SpanRecorder,
-    Tracer,
-)
-from repro.web.tranco import TrancoList
-
-if TYPE_CHECKING:
-    from repro.web.generator import SyntheticWeb
-
-import dataclasses
-
-#: A fault hook: called with (position, domain) before each visit.
-FaultHook = Callable[[int, str], None]
-
-#: Test seam: (shard_index, attempt) -> per-visit fault hook (or None).
-FaultInjector = Callable[[int, int], "FaultHook | None"]
-
-#: Streaming hook: called with (plan, picklable shard result) as each
-#: shard completes — in completion order, before the merge runs.  The
-#: crawl service hangs incremental result events off this seam.
-ShardListener = Callable[[ShardPlan, ShardResult], None]
-
-#: Backwards-compatible alias — the class lived in ``parallel`` before
-#: the execution-backend split.
-_ShardOutcome = ShardOutcome
-
-
-@dataclass
-class ResumableOutcome:
-    """Everything a resumable campaign produces beyond the crawl itself."""
-
-    result: CrawlResult
-    retries: tuple[ShardRetryRecord, ...] = ()
-    resumed_shards: tuple[int, ...] = ()  # shards revived from disk at start
-    partial: PartialManifest | None = None
-
-    @property
-    def is_partial(self) -> bool:
-        return self.partial is not None and bool(self.partial.missing)
-
-
-@dataclass
-class _ShardRun:
-    """Per-shard result for one shard (success or degraded)."""
-
-    plan: ShardPlan
-    outcome: ShardOutcome | None
-    retries: list[ShardRetryRecord] = field(default_factory=list)
-    resumed_from: int | None = None  # on-disk checkpoint the first attempt used
-    failure: str | None = None
-    failure_checkpoint: ShardCheckpoint | None = None
-
-
-class ResumableCrawl:
-    """A sharded campaign with durable progress and shard-level retry."""
-
-    def __init__(
-        self,
-        world: "SyntheticWeb",
-        checkpoint_dir: str | Path,
-        shard_count: int = 4,
-        checkpoint_every: int = 500,
-        corrupt_allowlist: bool = True,
-        max_workers: int | None = None,
-        backend: "str | ExecutionBackend | None" = None,
-        limit: int | None = None,
-        resume: bool = False,
-        allow_partial: bool = False,
-        retry_policy: RetryPolicy | None = None,
-        tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry = NULL_METRICS,
-        spans: SpanRecorder = NULL_RECORDER,
-        fault_injector: FaultInjector | None = None,
-        shard_listener: ShardListener | None = None,
-    ) -> None:
-        self._world = world
-        self._store = CheckpointStore(checkpoint_dir)
-        self._shard_count = shard_count
-        self._checkpoint_every = checkpoint_every
-        self._corrupt_allowlist = corrupt_allowlist
-        self._max_workers = max_workers
-        self._backend = backend
-        self._limit = limit
-        self._resume = resume
-        self._allow_partial = allow_partial
-        self._policy = retry_policy or RetryPolicy()
-        self._tracer = tracer
-        self._metrics = metrics
-        self._spans = spans
-        self._fault_injector = fault_injector
-        self._shard_listener = shard_listener
-        # The merge stays ShardedCrawl's: one implementation, zero drift.
-        self._merger = ShardedCrawl(
-            world,
-            shard_count=shard_count,
-            corrupt_allowlist=corrupt_allowlist,
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
-        )
-
-    # -- orchestration --------------------------------------------------------
-
-    def run(self) -> ResumableOutcome:
-        domains = self._world.tranco.domains
-        if self._limit is not None:
-            domains = domains[: self._limit]
-        shard_count = effective_shard_count(
-            self._shard_count, len(domains), self._tracer
-        )
-        self._store.initialize(
-            campaign_fingerprint(
-                domains, shard_count, self._corrupt_allowlist
-            )
-        )
-        plans = plan_shards(TrancoList(domains), shard_count)
-        backend = self._resolve_backend(len(plans))
-        runs = self._execute(backend, plans)
-
-        outcomes: list[ShardOutcome] = []
-        missing: list[MissingRange] = []
-        for run in runs:
-            if run.outcome is not None:
-                outcomes.append(run.outcome)
-                continue
-            # Degraded shard: merge its durable prefix, name the hole.
-            checkpoint = run.failure_checkpoint
-            visits_done = checkpoint.visits_done if checkpoint is not None else 0
-            missing.append(
-                MissingRange(
-                    shard_index=run.plan.shard_index,
-                    from_rank=run.plan.rank_offset + visits_done + 1,
-                    to_rank=run.plan.rank_offset + len(run.plan.domains),
-                    error=run.failure or "unknown",
-                )
-            )
-            outcomes.append(self._degraded_outcome(run.plan, checkpoint))
-
-        result = self._merger._merge(plans, outcomes)
-        self._emit_recovery_accounting(runs, missing)
-        partial = PartialManifest(missing=missing) if missing else None
-        return ResumableOutcome(
-            result=result,
-            retries=tuple(retry for run in runs for retry in run.retries),
-            resumed_shards=tuple(
-                run.plan.shard_index
-                for run in runs
-                if run.resumed_from is not None
-            ),
-            partial=partial,
-        )
-
-    # -- backend selection ----------------------------------------------------
-
-    def _resolve_backend(self, plan_count: int) -> ExecutionBackend:
-        workers = min(
-            self._max_workers or self._shard_count, max(plan_count, 1)
-        )
-        backend = create_backend(self._backend, workers)
-        if (
-            backend.name == "process"
-            and self._fault_injector is not None
-            and not is_picklable(self._fault_injector)
-        ):
-            # Closures cannot cross the process-pool boundary; running
-            # the campaign beats crashing it.  Picklable injectors
-            # (CrashSchedule) keep the process backend.
-            return create_backend("thread", workers)
-        return backend
-
-    # -- per-shard execution --------------------------------------------------
-
-    def _execute(
-        self, backend: ExecutionBackend, plans: list[ShardPlan]
-    ) -> list[_ShardRun]:
-        # Shards stream back in completion order — each one is handed to
-        # the shard listener the moment it finishes — then the merge
-        # consumes them in plan order, so the output stays byte-identical
-        # however the scheduler interleaved the work.
-        if backend.name != "process":
-            runs: list[_ShardRun | None] = [None] * len(plans)
-            for index, run in backend.stream(self._run_shard, plans):
-                runs[index] = run
-                self._notify_shard(plans[index], run)
-            return [run for run in runs if run is not None]
-        spec = WorldSpec.of(self._world)
-        tasks = [
-            ShardTask(
-                spec=spec,
-                plan=plan,
-                corrupt_allowlist=self._corrupt_allowlist,
-                trace=self._tracer.enabled,
-                metrics=self._metrics.enabled,
-                spans=self._spans.enabled,
-                checkpoint_dir=str(self._store.directory),
-                checkpoint_every=self._checkpoint_every,
-                resume=self._resume,
-                retry_policy=self._policy,
-                allow_partial=self._allow_partial,
-                fault_injector=self._fault_injector,
-            )
-            for plan in plans
-        ]
-        listener = self._spans.listener if self._spans.enabled else None
-        runs = [None] * len(plans)
-        for index, result in backend.stream(run_shard_task, tasks):
-            plan = plans[index]
-            if result.report is None:
-                runs[index] = _ShardRun(
-                    plan=plan,
-                    outcome=None,
-                    retries=list(result.retries),
-                    resumed_from=result.resumed_from,
-                    failure=result.failure,
-                    # The worker's store wrote the checkpoints; the
-                    # parent's store reads the same directory.
-                    failure_checkpoint=self._store.latest(plan.shard_index),
-                )
-                continue
-            runs[index] = _ShardRun(
-                plan=plan,
-                outcome=outcome_from_result(result, span_listener=listener),
-                retries=list(result.retries),
-                resumed_from=result.resumed_from,
-            )
-            if self._shard_listener is not None:
-                self._shard_listener(plan, result)
-        return [run for run in runs if run is not None]
-
-    def _notify_shard(self, plan: ShardPlan, run: _ShardRun) -> None:
-        """Stream one in-memory shard completion to the listener."""
-        if self._shard_listener is None or run.outcome is None:
-            return
-        self._shard_listener(
-            plan,
-            result_from_outcome(
-                plan.shard_index,
-                run.outcome,
-                retries=run.retries,
-                resumed_from=run.resumed_from,
-            ),
-        )
-
-    def _run_shard(self, plan: ShardPlan) -> _ShardRun:
-        """Run one shard in-process (serial/thread backends)."""
-        execution = execute_resumable_shard(
-            self._world,
-            plan,
-            store=self._store,
-            checkpoint_every=self._checkpoint_every,
-            resume=self._resume,
-            corrupt_allowlist=self._corrupt_allowlist,
-            policy=self._policy,
-            allow_partial=self._allow_partial,
-            fault_injector=self._fault_injector,
-            trace=self._tracer.enabled,
-            metrics=self._metrics.enabled,
-            spans=self._spans.enabled,
-            span_listener=self._spans.listener if self._spans.enabled else None,
-        )
-        return self._to_run(execution)
-
-    def _to_run(self, execution: ShardExecution) -> _ShardRun:
-        if execution.outcome is None:
-            return _ShardRun(
-                plan=execution.plan,
-                outcome=None,
-                retries=execution.retries,
-                resumed_from=execution.resumed_from,
-                failure=execution.failure,
-                failure_checkpoint=self._store.latest(
-                    execution.plan.shard_index
-                ),
-            )
-        return _ShardRun(
-            plan=execution.plan,
-            outcome=execution.outcome,
-            retries=execution.retries,
-            resumed_from=execution.resumed_from,
-        )
-
-    # -- degraded shards ------------------------------------------------------
-
-    @staticmethod
-    def _degraded_outcome(
-        plan: ShardPlan, checkpoint: ShardCheckpoint | None
-    ) -> ShardOutcome:
-        """A mergeable outcome for a shard that gave up: its durable prefix."""
-        if checkpoint is None:
-            d_ba, d_aa = Dataset("D_BA"), Dataset("D_AA")
-            report = CrawlReport(targets=len(plan.domains))
-        else:
-            d_ba, d_aa = restore_datasets(checkpoint)
-            report = CrawlReport(**dataclasses.asdict(checkpoint.report))
-            report.finished_at = checkpoint.clock_now
-        result = CrawlResult(
-            d_ba=d_ba,
-            d_aa=d_aa,
-            report=report,
-            allowed_domains=frozenset(),
-            survey=AttestationSurvey(()),
-        )
-        return ShardOutcome(result=result, tracer=NULL_TRACER, metrics=NULL_METRICS)
-
-    # -- recovery accounting --------------------------------------------------
-
-    def _emit_recovery_accounting(
-        self, runs: list[_ShardRun], missing: list[MissingRange]
-    ) -> None:
-        """Campaign-level accounting for shards that never recovered."""
-        instrumented = self._tracer.enabled or self._metrics.enabled
-        if not instrumented:
-            return
-        for run in runs:
-            if run.outcome is not None:
-                continue  # recovered shards folded their own retries
-            for retry in run.retries:
-                self._metrics.counter("shard_retries_total")
-                self._metrics.counter(
-                    "shard_backoff_seconds_total", retry.backoff_seconds
-                )
-                self._tracer.emit(
-                    EventKind.SHARD_RETRIED,
-                    at=0,
-                    shard=retry.shard_index,
-                    attempt=retry.attempt,
-                    backoff_seconds=retry.backoff_seconds,
-                    resumed_from=retry.resumed_from,
-                    error=retry.error,
-                )
-        if missing:
-            self._metrics.gauge(
-                "crawl_missing_targets",
-                sum(entry.count for entry in missing),
-            )
-            self._metrics.gauge("crawl_degraded_shards", len(missing))
+__all__ = ["ResumableCrawl"]

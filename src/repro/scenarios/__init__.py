@@ -51,7 +51,6 @@ from repro.scenarios.spec import (
     ScenarioSpecError,
     declared_scenarios,
     load_spec,
-    parse_toml,
     resolve_spec,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "expand",
     "format_metric",
     "load_spec",
-    "parse_toml",
     "render_cell_table",
     "render_sweep_report",
     "resolve_spec",

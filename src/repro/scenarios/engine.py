@@ -31,12 +31,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.browser.context import ScriptOriginMode
 from repro.crawler.archive import save_crawl
 from repro.crawler.campaign import CrawlCampaign
-from repro.crawler.executor import (
-    ExecutionBackend,
-    WorldSpec,
-    create_backend,
-    worker_world,
-)
+from repro.crawler.executor import WorldSpec, worker_world
 from repro.longitudinal.evolution import world_at
 from repro.obs import (
     EventKind,
@@ -52,6 +47,7 @@ from repro.scenarios.diff import SweepReport, build_sweep_report, write_sweep_pa
 from repro.scenarios.matrix import Cell, baseline_cell, expand
 from repro.scenarios.metrics import METRIC_NAMES, cell_metrics
 from repro.scenarios.spec import ScenarioSpec
+from repro.util.executor import ExecutionBackend, create_backend
 from repro.util.fsio import atomic_write_text
 from repro.web.cmp import CmpCatalogue
 

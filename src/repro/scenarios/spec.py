@@ -10,10 +10,7 @@ the sweep engine (:mod:`repro.scenarios.engine`) runs one full campaign
 + analysis pipeline per cell.
 
 Specs are plain dicts, usually loaded from TOML files under
-``scenarios/``.  Python 3.11+ parses TOML with the stdlib ``tomllib``;
-on older interpreters a minimal fallback parser handles the subset the
-scenario files use (tables, arrays of tables, dotted keys, scalar and
-array values).
+``scenarios/`` and parsed with the stdlib ``tomllib``.
 """
 
 from __future__ import annotations
@@ -21,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import tomllib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,10 +26,6 @@ from repro.util.text import stable_digest
 from repro.web.config import WorldConfig
 from repro.web.vantage import VANTAGES
 
-try:  # Python >= 3.11
-    import tomllib as _tomllib
-except ModuleNotFoundError:  # pragma: no cover - py3.10 fallback path
-    _tomllib = None
 
 #: Cell parameters with dedicated semantics (everything else lives under
 #: the ``world.<field>`` namespace of raw WorldConfig overrides).
@@ -493,131 +487,17 @@ def _assertion_from_dict(
 # -- TOML loading --------------------------------------------------------------
 
 
-def parse_toml(text: str) -> dict:
-    """Parse TOML via stdlib ``tomllib``, or the minimal fallback."""
-    if _tomllib is not None:
-        return _tomllib.loads(text)
-    return parse_toml_minimal(text)
-
-
-def parse_toml_minimal(text: str) -> dict:
-    """A tiny TOML-subset parser for interpreters without ``tomllib``.
-
-    Supports exactly what the scenario files use: ``[table]`` /
-    ``[a.b]`` headers, ``[[array.of.tables]]``, dotted keys, and
-    string / integer / float / boolean / homogeneous-array values.
-    Anything else raises :class:`ScenarioSpecError`.
-    """
-    root: dict = {}
-    current: dict = root
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_toml_comment(raw_line).strip()
-        if not line:
-            continue
-        if line.startswith("[["):
-            _require(
-                line.endswith("]]"), f"TOML line {lineno}: malformed table array"
-            )
-            path = _split_toml_key(line[2:-2].strip())
-            parent = _descend(root, path[:-1])
-            array = parent.setdefault(path[-1], [])
-            _require(
-                isinstance(array, list),
-                f"TOML line {lineno}: {'.'.join(path)} is not a table array",
-            )
-            current = {}
-            array.append(current)
-        elif line.startswith("["):
-            _require(line.endswith("]"), f"TOML line {lineno}: malformed table")
-            path = _split_toml_key(line[1:-1].strip())
-            current = _descend(root, path)
-        else:
-            key_part, _, value_part = line.partition("=")
-            _require(bool(_), f"TOML line {lineno}: expected 'key = value'")
-            path = _split_toml_key(key_part.strip())
-            target = _descend(current, path[:-1])
-            target[path[-1]] = _parse_toml_value(value_part.strip(), lineno)
-    return root
-
-
-def _strip_toml_comment(line: str) -> str:
-    in_string = False
-    for index, char in enumerate(line):
-        if char == '"':
-            in_string = not in_string
-        elif char == "#" and not in_string:
-            return line[:index]
-    return line
-
-
-def _split_toml_key(key: str) -> list[str]:
-    parts = [part.strip().strip('"') for part in key.split(".")]
-    _require(all(parts), f"malformed TOML key {key!r}")
-    return parts
-
-
-def _descend(table: dict, path: list[str]) -> dict:
-    for part in path:
-        nested = table.setdefault(part, {})
-        if isinstance(nested, list):
-            _require(bool(nested), f"TOML: empty table array at {part!r}")
-            nested = nested[-1]
-        _require(isinstance(nested, dict), f"TOML: {part!r} is not a table")
-        table = nested
-    return table
-
-
-def _parse_toml_value(token: str, lineno: int):
-    _require(bool(token), f"TOML line {lineno}: missing value")
-    if token.startswith('"') and token.endswith('"') and len(token) >= 2:
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    if token.startswith("[") and token.endswith("]"):
-        inner = token[1:-1].strip()
-        if not inner:
-            return []
-        return [
-            _parse_toml_value(part.strip(), lineno)
-            for part in _split_toml_array(inner)
-        ]
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise ScenarioSpecError(
-            f"TOML line {lineno}: unsupported value {token!r}"
-        ) from None
-
-
-def _split_toml_array(inner: str) -> list[str]:
-    parts, depth, in_string, start = [], 0, False, 0
-    for index, char in enumerate(inner):
-        if char == '"':
-            in_string = not in_string
-        elif in_string:
-            continue
-        elif char == "[":
-            depth += 1
-        elif char == "]":
-            depth -= 1
-        elif char == "," and depth == 0:
-            parts.append(inner[start:index])
-            start = index + 1
-    parts.append(inner[start:])
-    return [part for part in parts if part.strip()]
-
-
 def load_spec(path: str | Path) -> ScenarioSpec:
-    """Load a scenario spec from a TOML file."""
-    return ScenarioSpec.from_dict(
-        parse_toml(Path(path).read_text(encoding="utf-8"))
-    )
+    """Load a scenario spec from a TOML file.
+
+    A file that is not valid UTF-8 TOML raises :class:`ScenarioSpecError`
+    naming the file.
+    """
+    try:
+        raw = tomllib.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, tomllib.TOMLDecodeError) as exc:
+        raise ScenarioSpecError(f"{path}: not a valid TOML file: {exc}") from exc
+    return ScenarioSpec.from_dict(raw)
 
 
 #: Directory of declared scenarios, relative to the repo root.

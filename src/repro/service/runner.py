@@ -1,11 +1,12 @@
 """Blocking job execution: one campaign, run on a worker thread.
 
-:func:`run_job` is the synchronous heart of the service — everything the
-batch ``repro crawl`` path does, rearranged around three service needs:
+:func:`run_job` is the synchronous heart of the service.  It runs the
+same :class:`~repro.crawler.crawl.Crawl` the batch ``repro crawl`` path
+does, wired to three service needs:
 
 * **streaming** — a :class:`~repro.obs.bridge.VisitProgressListener`
   turns completed visit spans into throttled ``shard-progress`` events,
-  and the resumable crawl's ``shard_listener`` seam emits a
+  and the crawl's ``shard_listener`` seam emits a
   ``shard-result`` event (with the shard's rebased Before-Accept rows)
   the moment each shard finishes, long before the merge;
 * **cancellation** — a :class:`~repro.crawler.executor.CancelFlag`
@@ -32,6 +33,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.crawler.archive import save_crawl
 from repro.crawler.checkpoint import RetryPolicy
+from repro.crawler.crawl import Crawl, CrawlOutcome
 from repro.crawler.dataset import Dataset
 from repro.crawler.executor import (
     CancelFlag,
@@ -41,7 +43,6 @@ from repro.crawler.executor import (
     ShardPlan,
     ShardResult,
 )
-from repro.crawler.resumable import ResumableCrawl, ResumableOutcome
 from repro.obs import (
     MetricsRegistry,
     MetricsSnapshot,
@@ -97,7 +98,7 @@ class JobRunResult:
     archive_dir: Path
     summary: dict
     metrics: MetricsSnapshot
-    outcome: ResumableOutcome
+    outcome: CrawlOutcome
 
 
 def shard_result_payload(plan: ShardPlan, result: ShardResult) -> dict:
@@ -117,8 +118,8 @@ def shard_result_payload(plan: ShardPlan, result: ShardResult) -> dict:
         "shard": plan.shard_index,
         "rank_offset": plan.rank_offset,
         "domains": len(plan.domains),
-        "ok": report.ok if report is not None else 0,
-        "accepted": report.accepted if report is not None else 0,
+        "ok": report.ok,
+        "accepted": report.accepted,
         "retries": len(result.retries),
         "resumed_from": result.resumed_from,
         "d_ba": [record.to_json() for record in rebased],
@@ -136,7 +137,7 @@ def _fault_injector(spec: JobSpec, paths: JobPaths):
     )
 
 
-def summarise(outcome: ResumableOutcome) -> dict:
+def summarise(outcome: CrawlOutcome) -> dict:
     """The report digest stored on the job record and in ``job-done``."""
     report = outcome.result.report
     return {
@@ -185,7 +186,7 @@ def run_job(
         def shard_listener(plan: ShardPlan, result: ShardResult) -> None:
             emit(EVENT_SHARD_RESULT, shard_result_payload(plan, result))
 
-    crawl = ResumableCrawl(
+    crawl = Crawl(
         world,
         paths.checkpoints,
         shard_count=spec.shards,

@@ -42,7 +42,7 @@ from repro.analysis.questionable import questionable_calls_by_cp
 from repro.attestation.allowlist import GatingDecision
 from repro.crawler.archive import save_crawl
 from repro.crawler.campaign import CrawlCampaign, CrawlResult
-from repro.crawler.parallel import ShardedCrawl
+from repro.crawler.crawl import Crawl
 from repro.obs import MetricsRegistry, SpanRecorder, Tracer
 from repro.validate.engine import audit_archive
 from repro.web.config import WorldConfig
@@ -308,9 +308,9 @@ class MetamorphicHarness:
         for count in self.shard_counts:
             sharded_archive = self._archive(
                 f"shards-{count}",
-                lambda count=count: ShardedCrawl(
+                lambda count=count: Crawl(
                     self._world(), shard_count=count, backend="serial"
-                ).run(),
+                ).run().result,
             )
             sharded = self._results[f"shards-{count}"]
             if count == 1:
@@ -337,9 +337,9 @@ class MetamorphicHarness:
         reference_count = self.shard_counts[-1] if self.shard_counts else 3
         baseline = self._archive(
             f"shards-{reference_count}",
-            lambda: ShardedCrawl(
+            lambda: Crawl(
                 self._world(), shard_count=reference_count, backend="serial"
-            ).run(),
+            ).run().result,
         )
         details = []
         for backend in self.backends:
@@ -347,12 +347,12 @@ class MetamorphicHarness:
                 continue
             candidate = self._archive(
                 f"backend-{backend}",
-                lambda backend=backend: ShardedCrawl(
+                lambda backend=backend: Crawl(
                     self._world(),
                     shard_count=reference_count,
                     backend=backend,
                     max_workers=2,
-                ).run(),
+                ).run().result,
             )
             for difference in compare_archives(baseline, candidate):
                 details.append(f"backend={backend}: {difference}")

@@ -1,48 +1,8 @@
-"""Unit tests for the network stack: log, cache, first/third-party split."""
+"""Unit tests for the browser cache and the consent ledger."""
 
 from repro.browser.consent import ConsentLedger
-from repro.browser.network import BrowserCache, NetworkLog, NetworkStack
+from repro.browser.network import BrowserCache
 from repro.util.urls import https
-
-
-class TestNetworkStack:
-    def test_fetch_logged(self):
-        stack, log = NetworkStack(), NetworkLog()
-        stack.fetch(https("www.site.com"), "site.com", 10, log)
-        assert len(log) == 1
-        record = log.records[0]
-        assert record.at == 10
-        assert not record.from_cache
-        assert record.first_party
-
-    def test_third_party_flag(self):
-        stack, log = NetworkStack(), NetworkLog()
-        record = stack.fetch(https("cdn.ads.net", "/x.js"), "site.com", 0, log)
-        assert not record.first_party
-
-    def test_cache_hit_on_second_fetch(self):
-        stack, log = NetworkStack(), NetworkLog()
-        url = https("cdn.ads.net", "/x.js")
-        first = stack.fetch(url, "site.com", 0, log)
-        second = stack.fetch(url, "site.com", 1, log)
-        assert not first.from_cache
-        assert second.from_cache
-
-    def test_cache_clear_forces_reload(self):
-        # §2.2: "We delete the browser cache to load again all objects."
-        stack, log = NetworkStack(), NetworkLog()
-        url = https("cdn.ads.net", "/x.js")
-        stack.fetch(url, "site.com", 0, log)
-        stack.cache.clear()
-        assert not stack.fetch(url, "site.com", 1, log).from_cache
-
-    def test_log_hosts_and_third_parties(self):
-        stack, log = NetworkStack(), NetworkLog()
-        stack.fetch(https("www.site.com"), "site.com", 0, log)
-        stack.fetch(https("static.site.com", "/a.css"), "site.com", 0, log)
-        stack.fetch(https("cdn.ads.net", "/x.js"), "site.com", 0, log)
-        assert log.hosts() == {"www.site.com", "static.site.com", "cdn.ads.net"}
-        assert log.third_party_domains("site.com") == {"ads.net"}
 
 
 class TestBrowserCache:
@@ -58,6 +18,15 @@ class TestBrowserCache:
         cache = BrowserCache()
         cache.add(https("a.com", "/x"))
         assert https("a.com", "/y") not in cache
+
+    def test_cache_clear_forces_reload(self):
+        # §2.2: "We delete the browser cache to load again all objects."
+        cache = BrowserCache()
+        url = https("cdn.ads.net", "/x.js")
+        cache.add(url)
+        cache.clear()
+        assert url not in cache
+        assert len(cache) == 0
 
 
 class TestConsentLedger:

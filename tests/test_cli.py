@@ -47,6 +47,20 @@ class TestCommands:
             ["crawl", "--sites", "1200", "--out", out_dir, "--shards", "3"]
         ) == 0
 
+    def test_crawl_sharded_honours_limit(self, capsys, tmp_path):
+        import json
+
+        out_dir = tmp_path / "campaign"
+        assert main(
+            [
+                "crawl", "--sites", "1200", "--out", str(out_dir),
+                "--shards", "3", "--limit", "100",
+            ]
+        ) == 0
+        assert "/100 sites" in capsys.readouterr().out
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["targets"] == 100
+
     def test_crawl_healthy_allowlist(self, capsys, tmp_path):
         out_dir = str(tmp_path / "campaign")
         assert main(

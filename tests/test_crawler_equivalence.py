@@ -13,6 +13,7 @@ pins the two historical merge bugs at the unit level:
 import pytest
 
 from repro.analysis.obs_report import diff_snapshots
+from repro.crawler.archive import save_crawl
 from repro.crawler.campaign import (
     CrawlCampaign,
     CrawlReport,
@@ -20,7 +21,9 @@ from repro.crawler.campaign import (
     attestation_targets,
 )
 from repro.crawler.dataset import Dataset, PHASE_AFTER, PHASE_BEFORE, VisitRecord
-from repro.crawler.parallel import ShardPlan, ShardedCrawl, _ShardOutcome
+from repro.crawler.crawl import Crawl
+from repro.crawler.executor import ShardOutcome, ShardPlan
+from repro.crawler.parallel import ShardedCrawl
 from repro.crawler.wellknown import AttestationSurvey
 from repro.obs import (
     MetricsRegistry,
@@ -133,7 +136,7 @@ class TestMetricsCrossCheck:
 class TestMergedTraceOrdering:
     """Satellite pin: the merged trace interleaves shards in replay order.
 
-    ``ShardedCrawl._merge`` used to replay shard 0's entire history, then
+    The merge used to replay shard 0's entire history, then
     shard 1's, and so on; the fold now sorts by ``(at, shard_index,
     seq)``, so the campaign-level trace reads chronologically.
     """
@@ -151,7 +154,7 @@ class TestMergedTraceOrdering:
 
     def test_merge_folds_handcrafted_traces_in_time_order(self, eq_world):
         tracer = Tracer()
-        sharded = ShardedCrawl(eq_world, shard_count=2, tracer=tracer)
+        crawl = Crawl(eq_world, shard_count=2, tracer=tracer)
         outcomes = []
         for shard, times in enumerate(((5, 20), (1, 12))):
             shard_tracer = Tracer()
@@ -159,7 +162,7 @@ class TestMergedTraceOrdering:
                 shard_tracer.emit("probe", at=at)
             report = CrawlReport(started_at=0, finished_at=max(times))
             outcomes.append(
-                _ShardOutcome(
+                ShardOutcome(
                     result=CrawlResult(
                         d_ba=Dataset("D_BA"),
                         d_aa=Dataset("D_AA"),
@@ -175,13 +178,28 @@ class TestMergedTraceOrdering:
             ShardPlan(shard_index=0, domains=("a.com",), rank_offset=0),
             ShardPlan(shard_index=1, domains=("b.com",), rank_offset=1),
         ]
-        sharded._merge(plans, outcomes)
+        crawl._merge(plans, outcomes)
         probes = [
             (event.at, event.fields["shard"])
             for event in tracer.events("probe")
         ]
         # Time-sorted fold, not shard 0 then shard 1.
         assert probes == [(1, 1), (5, 0), (12, 1), (20, 0)]
+
+
+class TestOneShardCrawl:
+    def test_archive_matches_sequential_campaign(
+        self, eq_world, plain_sequential, tmp_path
+    ):
+        """A store-less one-shard crawl is the sequential campaign."""
+        expected = save_crawl(plain_sequential, tmp_path / "campaign")
+        actual = save_crawl(
+            Crawl(eq_world, shard_count=1).run().result, tmp_path / "crawl"
+        )
+        names = sorted(path.name for path in expected.iterdir())
+        assert names == sorted(path.name for path in actual.iterdir())
+        for name in names:
+            assert (actual / name).read_bytes() == (expected / name).read_bytes()
 
 
 class TestSpanEquivalence:
@@ -296,7 +314,7 @@ class TestMergeRegression:
     @staticmethod
     def _shard_outcome(
         d_ba: Dataset, d_aa: Dataset, started_at: int, finished_at: int
-    ) -> _ShardOutcome:
+    ) -> ShardOutcome:
         report = CrawlReport(
             targets=len(d_ba),
             ok=len(d_ba),
@@ -310,7 +328,7 @@ class TestMergeRegression:
             allowed_domains=frozenset(),
             survey=AttestationSurvey(()),
         )
-        return _ShardOutcome(result=result, tracer=NULL_TRACER, metrics=NULL_METRICS)
+        return ShardOutcome(result=result, tracer=NULL_TRACER, metrics=NULL_METRICS)
 
     def test_merge_surveys_after_accept_only_parties(self, world):
         # "aa-only.example" is loaded exclusively behind the consent gate:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.crawler.parallel import ShardedCrawl, plan_shards
+from repro.crawler.executor import plan_shards
+from repro.crawler.parallel import ShardedCrawl
 from repro.web.tranco import TrancoList
 
 

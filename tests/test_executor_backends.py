@@ -14,24 +14,27 @@ import pytest
 
 from repro.crawler.archive import save_crawl
 from repro.crawler.checkpoint import RetryPolicy
+from repro.crawler.crawl import effective_shard_count
 from repro.crawler.executor import (
-    BACKEND_ENV_VAR,
     CrashSchedule,
-    ProcessBackend,
-    SerialBackend,
     ShardFailedError,
-    ThreadBackend,
     WorldReconstructionError,
     WorldSpec,
     _world_for,
+    world_fingerprint,
+)
+from repro.crawler.parallel import ShardedCrawl
+from repro.crawler.resumable import ResumableCrawl
+from repro.obs import EventKind, Tracer
+from repro.util.executor import (
+    BACKEND_ENV_VAR,
+    ProcessBackend,
+    SerialBackend,
+    ThreadBackend,
     create_backend,
     is_picklable,
     resolve_backend_name,
-    world_fingerprint,
 )
-from repro.crawler.parallel import ShardedCrawl, effective_shard_count
-from repro.crawler.resumable import ResumableCrawl
-from repro.obs import EventKind, Tracer
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
 

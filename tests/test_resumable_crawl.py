@@ -13,7 +13,9 @@ import pytest
 
 from repro.crawler.checkpoint import CheckpointStore, RetryPolicy
 from repro.crawler.parallel import ShardedCrawl
-from repro.crawler.resumable import ResumableCrawl, ShardFailedError
+from repro.crawler.crawl import Crawl
+from repro.crawler.executor import ShardFailedError
+from repro.crawler.resumable import ResumableCrawl
 from repro.obs import EventKind, MetricsRegistry, SpanRecorder, Tracer
 from repro.obs.spans import (
     SPAN_CHECKPOINT_RESTORE,
@@ -261,3 +263,10 @@ class TestFingerprintGuard:
                 checkpoint_every=EVERY,
                 resume=True,
             ).run()
+
+
+class TestStorelessCrawl:
+    @pytest.mark.parametrize("option", ["resume", "allow_partial"])
+    def test_recovery_options_need_a_store(self, resume_world, option):
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            Crawl(resume_world, shard_count=SHARDS, **{option: True})

@@ -3,19 +3,12 @@
 import pytest
 
 from repro.scenarios.spec import (
-    SCENARIOS_DIR,
     ScenarioSpec,
     ScenarioSpecError,
     declared_scenarios,
     load_spec,
-    parse_toml_minimal,
     resolve_spec,
 )
-
-try:
-    import tomllib
-except ModuleNotFoundError:  # pragma: no cover - py3.10
-    tomllib = None
 
 
 def minimal_raw(**overrides) -> dict:
@@ -170,47 +163,21 @@ class TestDeclaredScenarios:
             resolve_spec("definitely_not_a_scenario")
 
 
-class TestTomlFallback:
-    @pytest.mark.skipif(tomllib is None, reason="needs stdlib tomllib")
-    @pytest.mark.parametrize("name", declared_scenarios())
-    def test_fallback_parser_matches_tomllib(self, name):
-        text = (SCENARIOS_DIR / f"{name}.toml").read_text(encoding="utf-8")
-        assert parse_toml_minimal(text) == tomllib.loads(text)
-
-    def test_fallback_parses_the_subset(self):
-        parsed = parse_toml_minimal(
-            "\n".join(
-                [
-                    'name = "x"  # trailing comment',
-                    "flag = true",
-                    "rate = 0.5",
-                    'tags = ["a", "b"]',
-                    "[world]",
-                    "sites = 100",
-                    "[[axes]]",
-                    'name = "vantage"',
-                    "[[axes.values]]",
-                    'name = "eu"',
-                    'where.vantage = "eu"',
-                ]
-            )
-        )
-        assert parsed["name"] == "x"
-        assert parsed["flag"] is True
-        assert parsed["rate"] == 0.5
-        assert parsed["tags"] == ["a", "b"]
-        assert parsed["world"] == {"sites": 100}
-        assert parsed["axes"][0]["values"][0] == {
-            "name": "eu",
-            "where": {"vantage": "eu"},
-        }
-
-    def test_fallback_rejects_unsupported_values(self):
-        with pytest.raises(ScenarioSpecError, match="unsupported value"):
-            parse_toml_minimal("when = 2024-03-30T00:00:00Z")
-
+class TestLoadSpec:
     def test_load_spec_from_file(self, tmp_path):
         path = tmp_path / "s.toml"
         path.write_text('name = "s"\n[world]\nsites = 300\nseed = 2\n')
         spec = load_spec(path)
         assert spec.world_dict() == {"sites": 300, "seed": 2}
+
+    def test_malformed_toml_names_the_file(self, tmp_path):
+        path = tmp_path / "broken.toml"
+        path.write_text('name = "s"\n[world\nsites = 300\n')
+        with pytest.raises(ScenarioSpecError, match="broken.toml"):
+            load_spec(path)
+
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        path = tmp_path / "binary.toml"
+        path.write_bytes(b'name = "\xff"\n')
+        with pytest.raises(ScenarioSpecError, match="binary.toml"):
+            load_spec(path)
