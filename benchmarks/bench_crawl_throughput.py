@@ -12,7 +12,7 @@ from repro.browser.browser import Browser
 from repro.browser.context import root_context_for
 from repro.browser.topics.api import TopicsApi
 from repro.crawler.campaign import CrawlCampaign
-from repro.obs import MetricsRegistry, SpanRecorder, Tracer
+from repro.obs import MetricsRegistry, SpanRecorder, Telemetry, Tracer
 from repro.util.urls import https
 from repro.web.generator import WebGenerator
 
@@ -60,7 +60,10 @@ def test_crawl_throughput_instrumented(benchmark, world):
 
     tracer, metrics = Tracer(), MetricsRegistry()
     campaign = CrawlCampaign(
-        world, corrupt_allowlist=True, limit=2_000, tracer=tracer, metrics=metrics
+        world,
+        corrupt_allowlist=True,
+        limit=2_000,
+        telemetry=Telemetry(tracer=tracer, metrics=metrics),
     )
     instrumented_started = time.perf_counter()
     result = benchmark.pedantic(campaign.run, rounds=1, iterations=1)
@@ -86,9 +89,9 @@ def test_crawl_throughput_instrumented(benchmark, world):
 
 
 def test_crawl_throughput_with_spans(benchmark, world):
-    """Span recording overhead: NULL_RECORDER baseline vs a live recorder.
+    """Span recording overhead: the no-op recorder vs a live one.
 
-    With the default ``NULL_RECORDER`` every span site costs one ``if``,
+    With the default ``Telemetry.OFF`` every span site costs one ``if``,
     so throughput must sit within noise of the uninstrumented crawl;
     this pins the enabled-mode overhead next to that baseline.
     """
@@ -98,7 +101,7 @@ def test_crawl_throughput_with_spans(benchmark, world):
 
     spans = SpanRecorder()
     campaign = CrawlCampaign(
-        world, corrupt_allowlist=True, limit=2_000, spans=spans
+        world, corrupt_allowlist=True, limit=2_000, telemetry=Telemetry(spans=spans)
     )
     recorded_started = time.perf_counter()
     result = benchmark.pedantic(campaign.run, rounds=1, iterations=1)
@@ -109,7 +112,7 @@ def test_crawl_throughput_with_spans(benchmark, world):
     )
     show(
         "Crawl throughput, span recording",
-        f"NULL_RECORDER {baseline_seconds:.2f}s vs recording "
+        f"spans off {baseline_seconds:.2f}s vs recording "
         f"{recorded_seconds:.2f}s ({overhead:+.1%} with spans ON; "
         f"spans OFF is the no-op default)\n"
         f"{spans.recorded:,} spans recorded ({spans.dropped:,} dropped)",

@@ -29,7 +29,7 @@ from repro.analysis.obs_report import (
 )
 from repro.crawler.campaign import CrawlCampaign
 from repro.crawler.crawl import Crawl
-from repro.obs import EventKind, MetricsRegistry, Tracer
+from repro.obs import EventKind, MetricsRegistry, Telemetry, Tracer
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
 
@@ -43,7 +43,9 @@ def main() -> None:
     seq_tracer, seq_metrics = Tracer(), MetricsRegistry()
     started = time.time()
     CrawlCampaign(
-        world, corrupt_allowlist=True, tracer=seq_tracer, metrics=seq_metrics
+        world,
+        corrupt_allowlist=True,
+        telemetry=Telemetry(tracer=seq_tracer, metrics=seq_metrics),
     ).run()
     print(f"  done in {time.time() - started:.1f}s wall-clock")
 
@@ -51,7 +53,9 @@ def main() -> None:
     shard_tracer, shard_metrics = Tracer(), MetricsRegistry()
     started = time.time()
     Crawl(
-        world, shard_count=4, tracer=shard_tracer, metrics=shard_metrics
+        world,
+        shard_count=4,
+        telemetry=Telemetry(tracer=shard_tracer, metrics=shard_metrics),
     ).run()
     print(f"  done in {time.time() - started:.1f}s wall-clock")
 

@@ -26,15 +26,7 @@ from repro.browser.failures import failure_kind_for
 from repro.browser.topics.api import instrument_topics_call
 from repro.browser.topics.manager import BrowsingTopicsSiteDataManager, TopicsApiCall
 from repro.browser.topics.selection import EpochTopicsSelector
-from repro.obs import (
-    EventKind,
-    NULL_METRICS,
-    NULL_RECORDER,
-    NULL_TRACER,
-    MetricsRegistry,
-    SpanRecorder,
-    Tracer,
-)
+from repro.obs import EventKind, Telemetry
 from repro.obs.spans import SPAN_NAVIGATE, SPAN_SCRIPT_EXEC, SPAN_TOPICS_CALL
 from repro.taxonomy.classifier import SiteClassifier
 from repro.util.psl import etld_plus_one
@@ -99,14 +91,14 @@ class Browser:
         script_origin_mode: ScriptOriginMode = ScriptOriginMode.EMBEDDER,
         third_party_cookies: bool = True,
         topics_enabled: bool = True,
-        tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry = NULL_METRICS,
-        spans: SpanRecorder = NULL_RECORDER,
+        telemetry: Telemetry = Telemetry.OFF,
     ) -> None:
         self._world = world
-        self._tracer = tracer
-        self._metrics = metrics
-        self._spans = spans
+        # Unpacked once: a visit reads the handles directly.
+        self._telemetry = telemetry
+        self._tracer = telemetry.tracer
+        self._metrics = telemetry.metrics
+        self._spans = telemetry.spans
         self.clock = clock if clock is not None else SimClock()
         self.consent = ConsentLedger()
         self.cookie_jar = CookieJar(third_party_cookies_enabled=third_party_cookies)
@@ -418,6 +410,7 @@ class Browser:
         plan = self._planner.plan_for(domain, consent_granted)
         manager = self.topics_manager
         tracker = self.cookie_tracker
+        telemetry = self._telemetry
         tracer = self._tracer
         metrics = self._metrics
         instrumented = tracer.enabled or metrics.enabled
@@ -456,7 +449,7 @@ class Browser:
                     call.caller_host, page_domain, call.call_type, now, observe=observe
                 )
                 if instrumented:
-                    instrument_topics_call(tracer, metrics, manager.last_call)
+                    instrument_topics_call(telemetry, manager.last_call)
                 if not observe and manager.last_call.decision.allowed:
                     manager.record_caller_observation(
                         call.caller_host, page_domain, now

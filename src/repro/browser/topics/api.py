@@ -24,7 +24,7 @@ from repro.browser.topics.headers import (
 )
 from repro.browser.topics.manager import BrowsingTopicsSiteDataManager, TopicsApiCall
 from repro.browser.topics.types import ApiCallType, Topic
-from repro.obs import EventKind, NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
+from repro.obs import EventKind, Telemetry
 from repro.util.timeline import Timestamp
 from repro.util.urls import Url
 
@@ -39,20 +39,18 @@ _CONTEXT_LABEL = {
 }
 
 
-def instrument_topics_call(
-    tracer: Tracer, metrics: MetricsRegistry, call: TopicsApiCall
-) -> None:
+def instrument_topics_call(telemetry: Telemetry, call: TopicsApiCall) -> None:
     """Count and trace one logged call, with its gating classification.
 
     The one shape of the ``TOPICS_CALL`` event and ``topics_calls_total``
     series, shared by :class:`TopicsApi` and the browser's plan replay.
     """
-    metrics.counter(
+    telemetry.metrics.counter(
         "topics_calls_total",
         type=call.call_type.value,
         decision=call.decision.value,
     )
-    tracer.emit(
+    telemetry.tracer.emit(
         EventKind.TOPICS_CALL,
         at=call.at,
         caller=call.caller,
@@ -86,19 +84,16 @@ class TopicsApi:
     def __init__(
         self,
         manager: BrowsingTopicsSiteDataManager,
-        tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry = NULL_METRICS,
+        telemetry: Telemetry = Telemetry.OFF,
     ) -> None:
         self._manager = manager
-        self._tracer = tracer
-        self._metrics = metrics
+        self._telemetry = telemetry
 
     def _instrument_last_call(self) -> None:
         """Trace the call the manager just logged, with its classification."""
-        if self._tracer.enabled or self._metrics.enabled:
-            instrument_topics_call(
-                self._tracer, self._metrics, self._manager.last_call
-            )
+        telemetry = self._telemetry
+        if telemetry.tracer.enabled or telemetry.metrics.enabled:
+            instrument_topics_call(telemetry, self._manager.last_call)
 
     def document_browsing_topics(
         self,

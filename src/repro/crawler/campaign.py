@@ -26,15 +26,7 @@ from repro.browser.context import ScriptOriginMode
 from repro.crawler.dataset import Dataset, PHASE_AFTER, PHASE_BEFORE
 from repro.crawler.privaccept import BannerDetection, PrivAccept
 from repro.crawler.wellknown import AttestationSurvey, survey_attestations
-from repro.obs import (
-    EventKind,
-    NULL_METRICS,
-    NULL_RECORDER,
-    NULL_TRACER,
-    MetricsRegistry,
-    SpanRecorder,
-    Tracer,
-)
+from repro.obs import EventKind, Telemetry
 from repro.obs.spans import (
     SPAN_BANNER,
     SPAN_CAMPAIGN,
@@ -119,9 +111,7 @@ class CrawlCampaign:
         progress: Callable[[int, int], None] | None = None,
         script_origin_mode: ScriptOriginMode = ScriptOriginMode.EMBEDDER,
         retries: int = 0,
-        tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry = NULL_METRICS,
-        spans: SpanRecorder = NULL_RECORDER,
+        telemetry: Telemetry = Telemetry.OFF,
         span_root: str = SPAN_CAMPAIGN,
         survey: bool = True,
         shard_index: int = 0,
@@ -144,11 +134,13 @@ class CrawlCampaign:
         self._script_origin_mode = script_origin_mode
         self._retries = retries
         self._privaccept = PrivAccept()
-        self._tracer = tracer
-        self._metrics = metrics
+        # Unpacked once: the per-target loop reads the handles directly.
+        self._telemetry = telemetry
+        self._tracer = telemetry.tracer
+        self._metrics = telemetry.metrics
+        self._spans = telemetry.spans
         # Sharded runs name their per-shard root "shard"; the merge then
         # grafts the shard trees under one campaign-level root.
-        self._spans = spans
         self._span_root = span_root
         # Shard campaigns skip the survey: the merge rebuilds it over the
         # full campaign's encountered set (per-shard surveys would be
@@ -191,9 +183,7 @@ class CrawlCampaign:
             corrupt_allowlist=self._corrupt_allowlist,
             user_seed=self._user_seed,
             script_origin_mode=self._script_origin_mode,
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
+            telemetry=self._telemetry,
         )
 
         targets = list(world.tranco)
@@ -271,12 +261,7 @@ class CrawlCampaign:
         if self._survey:
             encountered = attestation_targets(d_ba, d_aa, allowed)
             survey = survey_attestations(
-                world,
-                encountered,
-                clock.now(),
-                tracer=tracer,
-                metrics=metrics,
-                spans=spans,
+                world, encountered, clock.now(), telemetry=self._telemetry
             )
         else:
             survey = AttestationSurvey(())

@@ -20,15 +20,7 @@ from repro.attestation.wellknown import (
     AttestationValidationError,
     validate_attestation_json,
 )
-from repro.obs import (
-    EventKind,
-    NULL_METRICS,
-    NULL_RECORDER,
-    NULL_TRACER,
-    MetricsRegistry,
-    SpanRecorder,
-    Tracer,
-)
+from repro.obs import EventKind, Telemetry
 from repro.obs.spans import SPAN_ATTESTATION_FETCH, SPAN_ATTESTATION_SURVEY
 from repro.util.fsio import atomic_write_lines
 from repro.util.timeline import Timestamp
@@ -154,9 +146,7 @@ def survey_attestations(
     world: "SyntheticWeb",
     domains: Iterable[str],
     now: Timestamp,
-    tracer: Tracer = NULL_TRACER,
-    metrics: MetricsRegistry = NULL_METRICS,
-    spans: SpanRecorder = NULL_RECORDER,
+    telemetry: Telemetry = Telemetry.OFF,
 ) -> AttestationSurvey:
     """Probe every domain in ``domains`` at time ``now``.
 
@@ -167,6 +157,7 @@ def survey_attestations(
     ``attestation-survey`` span (the probes are instants — the simulated
     clock does not advance during the survey).
     """
+    tracer, metrics, spans = telemetry.tracer, telemetry.metrics, telemetry.spans
     if not (tracer.enabled or metrics.enabled or spans.enabled):
         return AttestationSurvey(
             probe_domain(world, domain, now) for domain in set(domains)

@@ -31,15 +31,14 @@ Two ranking strategies produce identical ranks:
 
 from __future__ import annotations
 
-import os
 import time
 from array import array
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-from repro.obs import MetricsRegistry, NULL_METRICS, NULL_RECORDER, SpanRecorder
+from repro.obs import Telemetry
 from repro.obs.spans import SPAN_REID_LINKAGE
-from repro.util.executor import ExecutionBackend, create_backend
+from repro.util.executor import ExecutionBackend, split_work
 
 #: One caller's view of one user: a topic-id tuple per queried epoch.
 ProfileView = Sequence[tuple[int, ...]]
@@ -337,8 +336,7 @@ def link_profiles(
     backend: "str | ExecutionBackend | None" = None,
     max_workers: int | None = None,
     shard_count: int | None = None,
-    metrics: MetricsRegistry = NULL_METRICS,
-    spans: SpanRecorder = NULL_RECORDER,
+    telemetry: Telemetry = Telemetry.OFF,
 ) -> LinkageResult:
     """Attack: for each user's view in A, rank all B candidates.
 
@@ -382,19 +380,8 @@ def link_profiles(
         effective = "dense"
     else:
         linkage = _SparseLinkage(views_a, views_b, mode or "sequence")
-        resolved = create_backend(backend, max_workers or (os.cpu_count() or 1))
+        resolved, bounds = split_work(size, backend, max_workers, shard_count)
         backend_name = resolved.name
-        workers = getattr(resolved, "max_workers", 1)
-        count = shard_count if shard_count is not None else workers
-        count = max(1, min(count, size or 1))
-        bounds: list[tuple[int, int]] = []
-        base, remainder = divmod(size, count)
-        start = 0
-        for index in range(count):
-            span = base + (1 if index < remainder else 0)
-            if span:
-                bounds.append((start, start + span))
-            start += span
         if resolved.name == "process":
             results = resolved.map(
                 _rank_shard, [(linkage, lo, hi) for lo, hi in bounds]
@@ -411,6 +398,7 @@ def link_profiles(
         effective = "sparse"
 
     elapsed = time.perf_counter() - started
+    metrics, spans = telemetry.metrics, telemetry.spans
     if metrics.enabled:
         metrics.counter("reid_pairs_scored_total", pairs_scored)
         metrics.counter("reid_candidates_pruned_total", candidates_pruned)

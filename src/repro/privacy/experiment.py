@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.obs import MetricsRegistry, NULL_METRICS, NULL_RECORDER, SpanRecorder
+from repro.obs import Telemetry
 from repro.privacy.attack import (
     LinkageResult,
     ProfileMatcher,
@@ -81,15 +81,14 @@ def run_reidentification(
     *,
     backend: "str | ExecutionBackend | None" = None,
     max_workers: int | None = None,
-    metrics: MetricsRegistry = NULL_METRICS,
-    spans: SpanRecorder = NULL_RECORDER,
+    telemetry: Telemetry = Telemetry.OFF,
 ) -> ReidentificationResult:
     """Execute one full study.
 
     ``backend``/``max_workers`` pick the execution backend for both the
     trace-generation and ranking stages (same semantics as the crawl
     plane, ``REPRO_CRAWL_BACKEND``-aware); the result is identical on
-    every backend.  ``metrics``/``spans`` observe both stages.
+    every backend.  ``telemetry``'s metrics and spans observe both stages.
     """
     matcher = matcher if matcher is not None else SequenceMatcher()
     if population is None:
@@ -113,8 +112,7 @@ def run_reidentification(
         query_epochs,
         backend=backend,
         max_workers=max_workers,
-        metrics=metrics,
-        spans=spans,
+        telemetry=telemetry,
     )
     views_a = buffers.views_for(config.caller_a)
     views_b = buffers.views_for(config.caller_b)
@@ -125,8 +123,7 @@ def run_reidentification(
         matcher,
         backend=backend,
         max_workers=max_workers,
-        metrics=metrics,
-        spans=spans,
+        telemetry=telemetry,
     )
     return ReidentificationResult(config=config, linkage=linkage)
 
@@ -138,8 +135,7 @@ def sweep_epochs(
     *,
     backend: "str | ExecutionBackend | None" = None,
     max_workers: int | None = None,
-    metrics: MetricsRegistry = NULL_METRICS,
-    spans: SpanRecorder = NULL_RECORDER,
+    telemetry: Telemetry = Telemetry.OFF,
 ) -> list[ReidentificationResult]:
     """Accuracy as a function of how long the attacker observes."""
     population = Population.generate(base.population_size, seed=base.seed)
@@ -150,8 +146,7 @@ def sweep_epochs(
             population=population,
             backend=backend,
             max_workers=max_workers,
-            metrics=metrics,
-            spans=spans,
+            telemetry=telemetry,
         )
         for epochs in epoch_counts
     ]
@@ -164,8 +159,7 @@ def sweep_noise(
     *,
     backend: "str | ExecutionBackend | None" = None,
     max_workers: int | None = None,
-    metrics: MetricsRegistry = NULL_METRICS,
-    spans: SpanRecorder = NULL_RECORDER,
+    telemetry: Telemetry = Telemetry.OFF,
 ) -> list[ReidentificationResult]:
     """Accuracy as a function of the plausible-deniability noise rate.
 
@@ -180,8 +174,7 @@ def sweep_noise(
             population=population,
             backend=backend,
             max_workers=max_workers,
-            metrics=metrics,
-            spans=spans,
+            telemetry=telemetry,
         )
         for noise in noise_levels
     ]

@@ -43,12 +43,7 @@ from repro.crawler.executor import (
     ShardPlan,
     ShardResult,
 )
-from repro.obs import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    NULL_RECORDER,
-    SpanRecorder,
-)
+from repro.obs import MetricsRegistry, MetricsSnapshot, SpanRecorder, Telemetry
 from repro.obs.bridge import VisitProgressListener
 from repro.service.events import EVENT_SHARD_PROGRESS, EVENT_SHARD_RESULT
 from repro.service.jobs import JobSpec
@@ -170,8 +165,9 @@ def run_job(
     for genuine failures.  ``backend``/``max_workers`` are service-level
     defaults; the spec's own values win.
     """
+    # Metrics always; spans only to drive streamed progress.
     metrics = MetricsRegistry()
-    spans = NULL_RECORDER
+    telemetry = Telemetry(metrics=metrics)
     shard_listener = None
     if spec.stream_results:
         progress = VisitProgressListener(
@@ -181,7 +177,7 @@ def run_job(
             ),
             every=spec.progress_every,
         )
-        spans = SpanRecorder(listener=progress)
+        telemetry = Telemetry(metrics=metrics, spans=SpanRecorder(listener=progress))
 
         def shard_listener(plan: ShardPlan, result: ShardResult) -> None:
             emit(EVENT_SHARD_RESULT, shard_result_payload(plan, result))
@@ -197,8 +193,7 @@ def run_job(
         limit=spec.limit,
         resume=resume,
         retry_policy=RetryPolicy(max_retries=spec.max_shard_retries),
-        metrics=metrics,
-        spans=spans,
+        telemetry=telemetry,
         fault_injector=_fault_injector(spec, paths),
         shard_listener=shard_listener,
     )

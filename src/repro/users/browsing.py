@@ -26,7 +26,6 @@ makes — the equivalence tests pin both properties.
 
 from __future__ import annotations
 
-import os
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from repro.browser.topics.history import BrowsingHistory
 from repro.browser.topics.manager import BrowsingTopicsSiteDataManager
 from repro.browser.topics.selection import EpochTopicsSelector
 from repro.browser.topics.types import ApiCallType, Topic
-from repro.obs import MetricsRegistry, NULL_METRICS, NULL_RECORDER, SpanRecorder
+from repro.obs import Telemetry
 from repro.obs.spans import SPAN_REID_TRACES
 from repro.users.columnar import TraceBuffers
 from repro.users.population import (
@@ -46,7 +45,12 @@ from repro.users.population import (
     PopulationSpec,
     worker_population,
 )
-from repro.util.executor import ExecutionBackend, create_backend, is_picklable
+from repro.util.executor import (
+    ExecutionBackend,
+    create_backend,
+    is_picklable,
+    split_work,
+)
 from repro.util.psl import etld_plus_one
 from repro.util.rng import RngStream
 from repro.util.timeline import EPOCH_DURATION
@@ -171,8 +175,7 @@ class TraceGenerator:
         backend: "str | ExecutionBackend | None" = None,
         max_workers: int | None = None,
         shard_count: int | None = None,
-        metrics: MetricsRegistry = NULL_METRICS,
-        spans: SpanRecorder = NULL_RECORDER,
+        telemetry: Telemetry = Telemetry.OFF,
     ) -> TraceBuffers:
         """Simulate many users and collect every caller's observed views.
 
@@ -195,19 +198,8 @@ class TraceGenerator:
         )
         query = tuple(query_epochs)
         started = time.perf_counter()
-        resolved = create_backend(backend, max_workers or (os.cpu_count() or 1))
-        workers = getattr(resolved, "max_workers", 1)
-        count = shard_count if shard_count is not None else workers
-        count = max(1, min(count, len(ids) or 1))
-
-        shards: list[tuple[int, ...]] = []
-        base, remainder = divmod(len(ids), count)
-        start = 0
-        for index in range(count):
-            size = base + (1 if index < remainder else 0)
-            if size:
-                shards.append(ids[start : start + size])
-            start += size
+        resolved, bounds = split_work(len(ids), backend, max_workers, shard_count)
+        shards = [ids[start:stop] for start, stop in bounds]
 
         merged = TraceBuffers(self._callers, query)
         if resolved.name == "process":
@@ -220,7 +212,7 @@ class TraceGenerator:
                 if is_picklable(self._population):
                     population = self._population
                 else:
-                    resolved = create_backend("thread", workers)
+                    resolved = create_backend("thread", resolved.max_workers)
         if resolved.name == "process":
             tasks = [
                 TraceShardTask(
@@ -245,6 +237,7 @@ class TraceGenerator:
             merged.extend(buffers)
 
         elapsed = time.perf_counter() - started
+        metrics, spans = telemetry.metrics, telemetry.spans
         if metrics.enabled:
             metrics.counter("reid_users_total", len(ids))
             metrics.counter("reid_trace_shards_total", len(shards))

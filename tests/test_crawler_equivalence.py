@@ -14,22 +14,17 @@ import pytest
 
 from repro.analysis.obs_report import diff_snapshots
 from repro.crawler.archive import save_crawl
-from repro.crawler.campaign import (
-    CrawlCampaign,
-    CrawlReport,
-    CrawlResult,
-    attestation_targets,
-)
+from repro.crawler.campaign import CrawlCampaign, CrawlReport, attestation_targets
+from repro.crawler.columnar import VisitBuffers
 from repro.crawler.dataset import Dataset, PHASE_AFTER, PHASE_BEFORE, VisitRecord
 from repro.crawler.crawl import Crawl
-from repro.crawler.executor import ShardOutcome, ShardPlan
+from repro.crawler.executor import ShardPlan, ShardResult
 from repro.crawler.parallel import ShardedCrawl
-from repro.crawler.wellknown import AttestationSurvey
 from repro.obs import (
     MetricsRegistry,
-    NULL_METRICS,
-    NULL_TRACER,
     SpanRecorder,
+    Telemetry,
+    TelemetryExport,
     Tracer,
 )
 from repro.obs.profile import straggler_report
@@ -51,8 +46,9 @@ def eq_world():
 def sequential(eq_world):
     tracer, metrics, spans = Tracer(), MetricsRegistry(), SpanRecorder()
     result = CrawlCampaign(
-        eq_world, corrupt_allowlist=True, tracer=tracer, metrics=metrics,
-        spans=spans,
+        eq_world,
+        corrupt_allowlist=True,
+        telemetry=Telemetry(tracer, metrics, spans),
     ).run()
     return result, tracer, metrics, spans
 
@@ -61,7 +57,7 @@ def sequential(eq_world):
 def sharded(eq_world):
     tracer, metrics, spans = Tracer(), MetricsRegistry(), SpanRecorder()
     result = ShardedCrawl(
-        eq_world, shard_count=4, tracer=tracer, metrics=metrics, spans=spans
+        eq_world, shard_count=4, telemetry=Telemetry(tracer, metrics, spans)
     ).run()
     return result, tracer, metrics, spans
 
@@ -154,31 +150,27 @@ class TestMergedTraceOrdering:
 
     def test_merge_folds_handcrafted_traces_in_time_order(self, eq_world):
         tracer = Tracer()
-        crawl = Crawl(eq_world, shard_count=2, tracer=tracer)
-        outcomes = []
+        crawl = Crawl(eq_world, shard_count=2, telemetry=Telemetry(tracer=tracer))
+        results = []
         for shard, times in enumerate(((5, 20), (1, 12))):
             shard_tracer = Tracer()
             for at in times:
                 shard_tracer.emit("probe", at=at)
             report = CrawlReport(started_at=0, finished_at=max(times))
-            outcomes.append(
-                ShardOutcome(
-                    result=CrawlResult(
-                        d_ba=Dataset("D_BA"),
-                        d_aa=Dataset("D_AA"),
-                        report=report,
-                        allowed_domains=frozenset(),
-                        survey=AttestationSurvey(()),
-                    ),
-                    tracer=shard_tracer,
-                    metrics=MetricsRegistry(),
+            results.append(
+                ShardResult(
+                    shard_index=shard,
+                    d_ba=VisitBuffers(),
+                    d_aa=VisitBuffers(),
+                    report=report,
+                    telemetry=TelemetryExport(events=tuple(shard_tracer)),
                 )
             )
         plans = [
             ShardPlan(shard_index=0, domains=("a.com",), rank_offset=0),
             ShardPlan(shard_index=1, domains=("b.com",), rank_offset=1),
         ]
-        crawl._merge(plans, outcomes)
+        crawl._merge(plans, results)
         probes = [
             (event.at, event.fields["shard"])
             for event in tracer.events("probe")
@@ -309,32 +301,27 @@ class TestAttestationTargets:
 
 
 class TestMergeRegression:
-    """Merge-level pins with handcrafted shard outcomes."""
+    """Merge-level pins with handcrafted shard results."""
 
     @staticmethod
-    def _shard_outcome(
+    def _shard_result(
         d_ba: Dataset, d_aa: Dataset, started_at: int, finished_at: int
-    ) -> ShardOutcome:
+    ) -> ShardResult:
         report = CrawlReport(
             targets=len(d_ba),
             ok=len(d_ba),
             started_at=started_at,
             finished_at=finished_at,
         )
-        result = CrawlResult(
-            d_ba=d_ba,
-            d_aa=d_aa,
-            report=report,
-            allowed_domains=frozenset(),
-            survey=AttestationSurvey(()),
+        return ShardResult(
+            shard_index=0, d_ba=d_ba.buffers, d_aa=d_aa.buffers, report=report
         )
-        return ShardOutcome(result=result, tracer=NULL_TRACER, metrics=NULL_METRICS)
 
     def test_merge_surveys_after_accept_only_parties(self, world):
         # "aa-only.example" is loaded exclusively behind the consent gate:
         # the pre-fix merge built the survey from D_BA alone and missed it.
         sharded = ShardedCrawl(world, shard_count=1)
-        outcome = self._shard_outcome(
+        result = self._shard_result(
             Dataset("D_BA", [_record("site.com", PHASE_BEFORE, ("cdn.example",))]),
             Dataset("D_AA", [_record("site.com", PHASE_AFTER, ("aa-only.example",))]),
             started_at=0,
@@ -342,7 +329,7 @@ class TestMergeRegression:
         )
         merged = sharded._merge(
             [ShardPlan(shard_index=0, domains=("site.com",), rank_offset=0)],
-            [outcome],
+            [result],
         )
         assert "aa-only.example" in merged.survey
         assert "cdn.example" in merged.survey
@@ -352,15 +339,15 @@ class TestMergeRegression:
         # spanning [5, 65] produced finished_at=60 — a duration, not a
         # timestamp.  The merged report must span min(start)..max(finish).
         sharded = ShardedCrawl(world, shard_count=2)
-        outcomes = [
-            self._shard_outcome(Dataset("D_BA"), Dataset("D_AA"), 5, 65),
-            self._shard_outcome(Dataset("D_BA"), Dataset("D_AA"), 2, 40),
+        results = [
+            self._shard_result(Dataset("D_BA"), Dataset("D_AA"), 5, 65),
+            self._shard_result(Dataset("D_BA"), Dataset("D_AA"), 2, 40),
         ]
         plans = [
             ShardPlan(shard_index=0, domains=("a.com",), rank_offset=0),
             ShardPlan(shard_index=1, domains=("b.com",), rank_offset=1),
         ]
-        merged = sharded._merge(plans, outcomes)
+        merged = sharded._merge(plans, results)
         assert merged.report.started_at == 2
         assert merged.report.finished_at == 65
         assert merged.report.duration_seconds == 63

@@ -25,7 +25,7 @@ from repro.crawler.executor import (
 )
 from repro.crawler.parallel import ShardedCrawl
 from repro.crawler.resumable import ResumableCrawl
-from repro.obs import EventKind, Tracer
+from repro.obs import EventKind, Telemetry, Tracer
 from repro.util.executor import (
     BACKEND_ENV_VAR,
     ProcessBackend,
@@ -213,13 +213,13 @@ class TestProcessCrashResume:
 class TestShardCountClamp:
     def test_clamped_and_traced(self):
         tracer = Tracer()
-        assert effective_shard_count(16, 6, tracer) == 6
+        assert effective_shard_count(16, 6, Telemetry(tracer=tracer)) == 6
         (event,) = tracer.events(EventKind.SHARD_EMPTY)
         assert event.fields == {"requested": 16, "effective": 6, "targets": 6}
 
     def test_no_event_when_within_range(self):
         tracer = Tracer()
-        assert effective_shard_count(3, 10, tracer) == 3
+        assert effective_shard_count(3, 10, Telemetry(tracer=tracer)) == 3
         assert tracer.events(EventKind.SHARD_EMPTY) == []
 
     def test_zero_targets_still_plans_one_shard(self):
@@ -257,7 +257,7 @@ class TestShardCountClamp:
             shard_count=16,
             limit=6,
             backend="serial",
-            tracer=tracer,
+            telemetry=Telemetry(tracer=tracer),
         ).run()
         assert outcome.result.report.targets == 6
         (event,) = tracer.events(EventKind.SHARD_EMPTY)

@@ -9,7 +9,7 @@ for both built-in matchers, every backend, and any shard count.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import MetricsRegistry, SpanRecorder
+from repro.obs import MetricsRegistry, SpanRecorder, Telemetry
 from repro.obs.spans import SPAN_REID_LINKAGE
 from repro.privacy.attack import (
     LINKAGE_STRATEGIES,
@@ -106,7 +106,9 @@ class TestStrategySelection:
     def test_auto_stays_dense_below_threshold(self):
         views = [[(1,)] for _ in range(SPARSE_MIN_POPULATION - 1)]
         metrics = MetricsRegistry()
-        result = link_profiles(views, views, SequenceMatcher(), metrics=metrics)
+        result = link_profiles(
+            views, views, SequenceMatcher(), telemetry=Telemetry(metrics=metrics)
+        )
         n = len(views)
         assert result.population_size == n
         # Dense scores every pair, including each user's true pair.
@@ -118,7 +120,11 @@ class TestStrategySelection:
         views = [[(user,)] for user in range(SPARSE_MIN_POPULATION)]
         metrics = MetricsRegistry()
         result = link_profiles(
-            views, views, SequenceMatcher(), backend="serial", metrics=metrics
+            views,
+            views,
+            SequenceMatcher(),
+            backend="serial",
+            telemetry=Telemetry(metrics=metrics),
         )
         n = len(views)
         assert result.true_match_ranks == (1,) * n
@@ -173,7 +179,11 @@ class TestObservability:
         spans = SpanRecorder()
         views = [[(user % 4,)] for user in range(SPARSE_MIN_POPULATION)]
         link_profiles(
-            views, views, SequenceMatcher(), backend="serial", spans=spans
+            views,
+            views,
+            SequenceMatcher(),
+            backend="serial",
+            telemetry=Telemetry(spans=spans),
         )
         (span,) = spans.spans(SPAN_REID_LINKAGE)
         assert span.fields["strategy"] == "sparse"

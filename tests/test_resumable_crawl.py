@@ -16,7 +16,7 @@ from repro.crawler.parallel import ShardedCrawl
 from repro.crawler.crawl import Crawl
 from repro.crawler.executor import ShardFailedError
 from repro.crawler.resumable import ResumableCrawl
-from repro.obs import EventKind, MetricsRegistry, SpanRecorder, Tracer
+from repro.obs import EventKind, MetricsRegistry, SpanRecorder, Telemetry, Tracer
 from repro.obs.spans import (
     SPAN_CHECKPOINT_RESTORE,
     SPAN_CHECKPOINT_WRITE,
@@ -100,9 +100,7 @@ class TestCrashResume:
             # Kill shard 1 twice: attempt 1 dies at visit 60 (after the
             # 50-visit checkpoint), attempt 2 at visit 130 (after 100).
             fault_injector=_crash_shard_at(1, {1: 60, 2: 130}),
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
+            telemetry=Telemetry(tracer, metrics, spans),
         ).run()
         return outcome, tracer, metrics, spans
 
@@ -180,7 +178,7 @@ class TestProcessKillResume:
             shard_count=SHARDS,
             checkpoint_every=EVERY,
             resume=True,
-            metrics=metrics,
+            telemetry=Telemetry(metrics=metrics),
         ).run()
         assert sorted(outcome.resumed_shards) == [0, 1, 2]
         assert _jsonl(outcome.result.d_ba) == _jsonl(baseline.d_ba)
@@ -216,7 +214,7 @@ class TestAllowPartial:
             allow_partial=True,
             # Shard 0 dies at visit 70 on every attempt.
             fault_injector=_crash_shard_at(0, {1: 70, 2: 70, 3: 70}),
-            metrics=metrics,
+            telemetry=Telemetry(metrics=metrics),
         ).run()
         assert outcome.is_partial
         [missing] = outcome.partial.missing

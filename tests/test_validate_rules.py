@@ -17,7 +17,7 @@ import pytest
 
 from repro.crawler.archive import save_crawl
 from repro.crawler.resumable import ResumableCrawl
-from repro.obs import MetricsRegistry, SpanRecorder, Tracer
+from repro.obs import MetricsRegistry, SpanRecorder, Telemetry, Tracer
 from repro.validate import (
     RULE_REGISTRY,
     CrawlArtifacts,
@@ -45,9 +45,7 @@ def pristine_archive(tmp_path_factory):
         shard_count=3,
         checkpoint_every=25,
         backend="serial",
-        tracer=tracer,
-        metrics=metrics,
-        spans=spans,
+        telemetry=Telemetry(tracer, metrics, spans),
     ).run()
     save_crawl(outcome.result, archive)
     tracer.to_jsonl(archive / "trace.jsonl")

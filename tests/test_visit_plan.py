@@ -15,7 +15,7 @@ import pytest
 from repro.browser.browser import Browser
 from repro.browser.context import ScriptOriginMode
 from repro.crawler.campaign import CrawlCampaign
-from repro.obs import EventKind, MetricsRegistry, SpanRecorder, Tracer
+from repro.obs import EventKind, MetricsRegistry, SpanRecorder, Telemetry, Tracer
 from repro.obs.spans import SPAN_NAVIGATE
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -63,7 +63,7 @@ class TestInstrumentedVisitsReplayPlans:
     def test_instrumented_visit_compiles_its_plan(self):
         world = WebGenerator(WorldConfig.small(150, seed=23)).generate()
         tracer, metrics, spans = Tracer(), MetricsRegistry(), SpanRecorder()
-        browser = Browser(world, tracer=tracer, metrics=metrics, spans=spans)
+        browser = Browser(world, telemetry=Telemetry(tracer, metrics, spans))
         domain = next(
             site.domain
             for site in world.websites
@@ -88,9 +88,7 @@ class TestTelemetryTransparency:
         traced = CrawlCampaign(
             world,
             corrupt_allowlist=True,
-            tracer=Tracer(),
-            metrics=MetricsRegistry(),
-            spans=SpanRecorder(),
+            telemetry=Telemetry(Tracer(), MetricsRegistry(), SpanRecorder()),
         ).run()
 
         assert bare.d_ba.records == traced.d_ba.records
