@@ -302,6 +302,24 @@ class TestValidateCommand:
         assert "FAIL report-accounting" in out
         assert "RESULT: FAIL" in out
 
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    @pytest.mark.parametrize(
+        "line", ['{"seq": 9, "at"', "[1,2]"], ids=["truncated", "array"]
+    )
+    def test_corrupt_trace_fails_closed(self, capsys, tmp_path, command, line):
+        out_dir = tmp_path / "campaign"
+        trace = out_dir / "trace.jsonl"
+        args = ["crawl", "--sites", "120", "--out", str(out_dir)]
+        assert main([*args, "--trace-out", str(trace)]) == 0
+        capsys.readouterr()
+        lines = len(trace.read_text().splitlines())
+        with trace.open("a") as handle:
+            handle.write(line + "\n")
+        code = main([command, str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {trace}:{lines + 1}: ")
+
     def test_validate_without_archive_errors(self, capsys):
         code = main(["validate"])
         out = capsys.readouterr().out
