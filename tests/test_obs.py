@@ -87,15 +87,6 @@ class TestTracer:
         assert Tracer.read_meta(path) is None
         assert len(Tracer.read_jsonl(path)) == 1
 
-    def test_replay_tags_events(self):
-        shard = Tracer()
-        shard.emit(EventKind.VISIT_STARTED, at=1, domain="a.com")
-        parent = Tracer()
-        parent.replay(shard, shard=3)
-        (event,) = parent.events()
-        assert event.fields == {"domain": "a.com", "shard": 3}
-        assert event.at == 1
-
     def test_null_tracer_is_inert(self):
         assert NULL_TRACER.enabled is False
         NULL_TRACER.emit(EventKind.VISIT_STARTED, at=0, domain="x.com")
