@@ -80,6 +80,7 @@ bench-smoke:
 		benchmarks/bench_crawl_throughput.py \
 		benchmarks/bench_parallel_crawl.py \
 		benchmarks/bench_checkpoint.py \
+		benchmarks/bench_archive_io.py \
 		benchmarks/bench_reidentification.py::test_reid_throughput \
 		benchmarks/bench_reidentification.py::test_reid_scaling \
 		benchmarks/bench_service.py \

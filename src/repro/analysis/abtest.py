@@ -52,12 +52,14 @@ def figure3(
     legit = legitimate_callers(allowed_domains, survey)
     presence: dict[str, int] = {}
     called: dict[str, set[str]] = {}
-    for record in d_aa:
-        for party in set(record.third_parties) & legit:
+    for third_parties in d_aa.third_parties_by_row():
+        for party in legit.intersection(third_parties):
             presence[party] = presence.get(party, 0) + 1
-        for call in record.calls:
-            if call.caller in legit:
-                called.setdefault(call.caller, set()).add(record.domain)
+    domains = d_aa.column("domain")
+    for index, callers in d_aa.calls_by_row():
+        for caller in callers:
+            if caller in legit:
+                called.setdefault(caller, set()).add(domains[index])
 
     rows = [
         EnabledRate(

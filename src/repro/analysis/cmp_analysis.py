@@ -60,14 +60,18 @@ def figure7(
     cmp_sites: dict[str, int] = {name: 0 for name in catalogue.names()}
     cmp_questionable: dict[str, int] = {name: 0 for name in catalogue.names()}
 
-    for record in d_ba:
-        has_questionable = any(call.caller in legit for call in record.calls)
-        if has_questionable:
-            questionable_sites.add(record.domain)
-        if record.cmp is not None and record.cmp in cmp_sites:
-            cmp_sites[record.cmp] += 1
-            if has_questionable:
-                cmp_questionable[record.cmp] += 1
+    domains = d_ba.column("domain")
+    questionable_rows = {
+        index
+        for index, callers in d_ba.calls_by_row()
+        if any(caller in legit for caller in callers)
+    }
+    questionable_sites.update(domains[index] for index in questionable_rows)
+    for index, cmp in enumerate(d_ba.column("cmp")):
+        if cmp is not None and cmp in cmp_sites:
+            cmp_sites[cmp] += 1
+            if index in questionable_rows:
+                cmp_questionable[cmp] += 1
 
     questionable_total = len(questionable_sites)
     rows: list[CmpRow] = []

@@ -51,14 +51,14 @@ class DatasetStats:
 def compute_stats(result: CrawlResult) -> DatasetStats:
     """Aggregate one campaign into the §2.4 block."""
     report: CrawlReport = result.report
-    languages: Counter[str] = Counter()
-    regions_ba: Counter[Region] = Counter()
-    for record in result.d_ba:
-        if record.banner_language:
-            languages[record.banner_language] += 1
-        regions_ba[region_of_domain(record.domain)] += 1
+    languages: Counter[str] = Counter(
+        language for language in result.d_ba.column("banner_language") if language
+    )
+    regions_ba: Counter[Region] = Counter(
+        region_of_domain(domain) for domain in result.d_ba.column("domain")
+    )
     regions_aa: Counter[Region] = Counter(
-        region_of_domain(record.domain) for record in result.d_aa
+        region_of_domain(domain) for domain in result.d_aa.column("domain")
     )
     return DatasetStats(
         targets=report.targets,
@@ -116,6 +116,6 @@ def render_stats(stats: DatasetStats) -> str:
 def third_party_frequency(dataset: Dataset, top: int = 20) -> list[tuple[str, int]]:
     """Most widespread third parties (presence counts) in a dataset."""
     counts: Counter[str] = Counter()
-    for record in dataset:
-        counts.update(record.third_parties)
+    for third_parties in dataset.third_parties_by_row():
+        counts.update(third_parties)
     return counts.most_common(top)

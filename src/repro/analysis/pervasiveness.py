@@ -49,13 +49,14 @@ def figure2(
 
     presence: dict[str, int] = {party: 0 for party in legit}
     called: dict[str, set[str]] = {party: set() for party in legit}
-    for record in d_aa:
-        embedded = set(record.third_parties) & legit
-        for party in embedded:
+    for third_parties in d_aa.third_parties_by_row():
+        for party in legit.intersection(third_parties):
             presence[party] += 1
-        for call in record.calls:
-            if call.caller in legit:
-                called[call.caller].add(record.domain)
+    domains = d_aa.column("domain")
+    for index, callers in d_aa.calls_by_row():
+        for caller in callers:
+            if caller in legit:
+                called[caller].add(domains[index])
 
     rows = [
         CpPresence(
@@ -85,11 +86,10 @@ def share_of_sites_with_call(
     """
     if not len(d_aa):
         return 0.0
-    matching = 0
-    for record in d_aa:
-        callers = {call.caller for call in record.calls}
-        if legitimate_only is not None:
-            callers &= set(legitimate_only)
-        if callers:
-            matching += 1
+    matching = sum(
+        1
+        for _, callers in d_aa.calls_by_row()
+        if legitimate_only is None
+        or any(caller in legitimate_only for caller in callers)
+    )
     return matching / len(d_aa)

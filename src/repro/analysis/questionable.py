@@ -91,14 +91,15 @@ def figure6(
 
     present: dict[str, dict[Region, int]] = {c: {} for c in callers}
     called: dict[str, dict[Region, set[str]]] = {c: {} for c in callers}
-    for record in d_ba:
-        region = region_of_domain(record.domain)
-        embedded = set(record.third_parties) & wanted
-        for caller in embedded:
+    domains = d_ba.column("domain")
+    regions = [region_of_domain(domain) for domain in domains]
+    for region, third_parties in zip(regions, d_ba.third_parties_by_row()):
+        for caller in wanted.intersection(third_parties):
             present[caller][region] = present[caller].get(region, 0) + 1
-        for call in record.calls:
-            if call.caller in wanted:
-                called[call.caller].setdefault(region, set()).add(record.domain)
+    for index, row_callers in d_ba.calls_by_row():
+        for caller in row_callers:
+            if caller in wanted:
+                called[caller].setdefault(regions[index], set()).add(domains[index])
 
     return [
         QuestionableByRegion(

@@ -42,13 +42,13 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.paper import render_comparisons
 from repro.experiments.runner import run_full_study
 from repro.longitudinal.monitor import LongitudinalMonitor, render_trend
-from repro.obs import TelemetryFormatError
 from repro.privacy.experiment import (
     ReidentificationConfig,
     render_sweep,
     sweep_epochs,
     sweep_noise,
 )
+from repro.util.codec import FormatError
 from repro.util.executor import BACKEND_ENV_VAR, BACKEND_NAMES
 from repro.util.timeline import timestamp_from_date
 from repro.web.config import WorldConfig
@@ -1113,8 +1113,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TelemetryFormatError as exc:
-        # A corrupt trace, span or metrics file is named, not a traceback.
+    except FormatError as exc:
+        # A corrupt archive, trace, span or metrics file is named, not a
+        # traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,13 +8,13 @@ run long after (and far away from) the crawl itself.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 
 from repro.crawler.campaign import CrawlReport, CrawlResult
 from repro.crawler.dataset import Dataset
 from repro.crawler.wellknown import AttestationSurvey
+from repro.util.codec import FormatError, numbered_lines, read_json_object
 from repro.util.fsio import atomic_write_text
 
 _D_BA_FILE = "d_ba.jsonl"
@@ -39,13 +39,17 @@ def save_crawl(result: CrawlResult, directory: str | Path) -> Path:
     # two must still archive byte-identically.
     atomic_write_text(
         target / _REPORT_FILE,
-        json.dumps(dataclasses.asdict(result.report), indent=2, sort_keys=True),
+        json.dumps(result.report.to_dict(), indent=2, sort_keys=True),
     )
     return target
 
 
 def load_crawl(directory: str | Path) -> CrawlResult:
-    """Load a campaign previously written by :func:`save_crawl`."""
+    """Load a campaign previously written by :func:`save_crawl`.
+
+    Fails closed: a file that does not parse as its format raises
+    :class:`~repro.util.codec.FormatError` naming the file and line.
+    """
     source = Path(directory)
     missing = [
         name
@@ -56,13 +60,14 @@ def load_crawl(directory: str | Path) -> CrawlResult:
         raise FileNotFoundError(f"{source}: missing campaign files {missing}")
 
     allowed = frozenset(
-        line.strip()
-        for line in (source / _ALLOWED_FILE).read_text(encoding="utf-8").splitlines()
-        if line.strip()
+        line.strip() for _, line in numbered_lines(source / _ALLOWED_FILE)
     )
-    report = CrawlReport(
-        **json.loads((source / _REPORT_FILE).read_text(encoding="utf-8"))
-    )
+    report_path = source / _REPORT_FILE
+    payload = read_json_object(report_path)
+    try:
+        report = CrawlReport.from_dict(payload)
+    except ValueError as exc:
+        raise FormatError(report_path, None, str(exc)) from None
     return CrawlResult(
         d_ba=Dataset.from_jsonl("D_BA", source / _D_BA_FILE),
         d_aa=Dataset.from_jsonl("D_AA", source / _D_AA_FILE),

@@ -17,8 +17,7 @@ party — the inputs of Table 1's Allowed/Attested classification.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable
 
 from repro.browser.browser import Browser, VisitOutcome, state_digest_of
@@ -35,6 +34,7 @@ from repro.obs.spans import (
     SPAN_RETRY,
     SPAN_VISIT,
 )
+from repro.util.codec import json_type, key_defect
 from repro.util.timeline import SimClock
 
 if TYPE_CHECKING:
@@ -67,6 +67,42 @@ class CrawlReport:
     @property
     def duration_seconds(self) -> int:
         return self.finished_at - self.started_at
+
+    def to_dict(self) -> dict:
+        """Every field by name, ``failure_kinds`` copied (archive payload)."""
+        data = dict(vars(self))
+        data["failure_kinds"] = dict(self.failure_kinds)
+        return data
+
+    def copy(self) -> "CrawlReport":
+        """An independent copy (no shared ``failure_kinds``)."""
+        return CrawlReport(**self.to_dict())
+
+    @classmethod
+    def from_dict(cls, data: object) -> "CrawlReport":
+        """The inverse of :meth:`to_dict`; ``ValueError`` on a bad payload.
+
+        ``data`` must hold exactly the report's fields: integer counters
+        and a ``failure_kinds`` object of integer counts.
+        """
+        if type(data) is not dict:
+            raise ValueError(f"expected a JSON object, got {json_type(data)}")
+        if data.keys() != _REPORT_FIELDS:
+            raise ValueError(key_defect(data.keys(), _REPORT_FIELDS))
+        for name, value in data.items():
+            if name == "failure_kinds":
+                if type(value) is not dict or any(
+                    type(count) is not int for count in value.values()
+                ):
+                    raise ValueError("field 'failure_kinds' has the wrong type")
+            elif type(value) is not int:
+                raise ValueError(
+                    f"field {name!r} has the wrong type ({json_type(value)})"
+                )
+        return cls(**{**data, "failure_kinds": dict(data["failure_kinds"])})
+
+
+_REPORT_FIELDS = frozenset(item.name for item in fields(CrawlReport))
 
 
 @dataclass
@@ -419,15 +455,14 @@ class CrawlCampaign:
             raise CheckpointError(
                 "restored browser state does not reproduce the checkpoint digest"
             )
-        for record in checkpoint.d_ba:
-            d_ba.add(record)
-        for record in checkpoint.d_aa:
-            d_aa.add(record)
+        # The datasets are fresh: splice the checkpoint's columns in.
+        d_ba.buffers.extend(checkpoint.d_ba)
+        d_aa.buffers.extend(checkpoint.d_aa)
         if self._metrics.enabled and checkpoint.metrics is not None:
             self._metrics.absorb(checkpoint.metrics)
-        # asdict deep-copies failure_kinds, so the restored report never
-        # aliases the checkpoint's dict.
-        return CrawlReport(**dataclasses.asdict(checkpoint.report))
+        # A copy, so the restored report never aliases the checkpoint's
+        # failure_kinds.
+        return checkpoint.report.copy()
 
     def _write_checkpoint(
         self,
@@ -454,9 +489,9 @@ class CrawlCampaign:
             clock_now=browser.clock.now(),
             browser_state=snapshot,
             state_digest=state_digest_of(snapshot),
-            report=CrawlReport(**dataclasses.asdict(report)),
-            d_ba=d_ba.records,
-            d_aa=d_aa.records,
+            report=report.copy(),
+            d_ba=d_ba.buffers.copy(),
+            d_aa=d_aa.buffers.copy(),
             metrics=self._metrics.snapshot() if self._metrics.enabled else None,
         )
         self._checkpoint_store.write(checkpoint)

@@ -36,7 +36,6 @@ metrics line, then one line per visit record.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 import threading
@@ -52,7 +51,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.browser.browser import state_digest_of
 from repro.crawler.campaign import CrawlReport
-from repro.crawler.dataset import Dataset, VisitRecord
+from repro.crawler.columnar import VisitBuffers
 from repro.obs.metrics import MetricsSnapshot
 from repro.util.fsio import atomic_write_lines, atomic_write_text
 from repro.util.text import stable_digest
@@ -82,8 +81,8 @@ class ShardCheckpoint:
     browser_state: dict
     state_digest: str
     report: CrawlReport
-    d_ba: tuple[VisitRecord, ...]
-    d_aa: tuple[VisitRecord, ...]
+    d_ba: VisitBuffers  # the shard's rows so far, in visit order
+    d_aa: VisitBuffers
     metrics: MetricsSnapshot | None = None
     version: int = CHECKPOINT_FORMAT_VERSION
 
@@ -108,50 +107,48 @@ class ShardCheckpoint:
                 },
                 sort_keys=True,
             ),
-            json.dumps(
-                {"report": dataclasses.asdict(self.report)}, sort_keys=True
-            ),
+            json.dumps({"report": self.report.to_dict()}, sort_keys=True),
             json.dumps({"browser": self.browser_state}, sort_keys=True),
             json.dumps(
                 {
                     "metrics": (
-                        json.loads(self.metrics.to_json())
-                        if self.metrics is not None
-                        else None
+                        self.metrics.to_dict() if self.metrics is not None else None
                     )
                 },
                 sort_keys=True,
             ),
         ]
-        for name, dataset in (("ba", self.d_ba), ("aa", self.d_aa)):
-            for record in dataset:
-                lines.append(
-                    json.dumps(
-                        {"dataset": name, "record": json.loads(record.to_json())},
-                        sort_keys=True,
-                    )
-                )
+        for name, buffers in (("ba", self.d_ba), ("aa", self.d_aa)):
+            # Exactly json.dumps({"dataset": …, "record": …}, sort_keys=True).
+            prefix = f'{{"dataset": "{name}", "record": '
+            lines.extend(f"{prefix}{row}}}" for row in buffers.iter_lines())
         return lines
 
     @classmethod
     def from_lines(cls, lines: list[str], source: str = "<memory>") -> "ShardCheckpoint":
         if len(lines) < 4:
             raise CheckpointError(f"{source}: truncated checkpoint (header missing)")
+        number = 1
         try:
             header = json.loads(lines[0])["checkpoint"]
-            report_payload = json.loads(lines[1])["report"]
+            number = 2
+            report = CrawlReport.from_dict(json.loads(lines[1])["report"])
+            number = 3
             browser_state = json.loads(lines[2])["browser"]
+            number = 4
             metrics_payload = json.loads(lines[3])["metrics"]
-            records: dict[str, list[VisitRecord]] = {"ba": [], "aa": []}
-            for line in lines[4:]:
+            datasets = {"ba": VisitBuffers(), "aa": VisitBuffers()}
+            for number, line in enumerate(lines[4:], start=5):
                 if not line.strip():
                     continue
                 payload = json.loads(line)
-                records[payload["dataset"]].append(
-                    VisitRecord.from_json(json.dumps(payload["record"]))
-                )
-        except (KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{source}: malformed checkpoint: {exc}") from exc
+                if type(payload) is not dict or payload.keys() != _RECORD_LINE_KEYS:
+                    raise ValueError("expected a {dataset, record} object")
+                datasets[payload["dataset"]].append_row(payload["record"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{source}:{number}: malformed checkpoint: {exc}"
+            ) from exc
         if header["version"] > CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(
                 f"{source}: checkpoint format v{header['version']} is newer "
@@ -169,16 +166,19 @@ class ShardCheckpoint:
             clock_now=header["clock_now"],
             browser_state=browser_state,
             state_digest=header["state_digest"],
-            report=CrawlReport(**report_payload),
-            d_ba=tuple(records["ba"]),
-            d_aa=tuple(records["aa"]),
+            report=report,
+            d_ba=datasets["ba"],
+            d_aa=datasets["aa"],
             metrics=(
-                MetricsSnapshot.from_json(json.dumps(metrics_payload))
+                MetricsSnapshot.from_dict(metrics_payload)
                 if metrics_payload is not None
                 else None
             ),
             version=header["version"],
         )
+
+
+_RECORD_LINE_KEYS = frozenset(("dataset", "record"))
 
 
 def campaign_fingerprint(
@@ -431,13 +431,3 @@ class PartialManifest:
                 for entry in data["missing_ranges"]
             ]
         )
-
-
-def restore_datasets(
-    checkpoint: ShardCheckpoint,
-) -> tuple[Dataset, Dataset]:
-    """Rebuild the shard's two datasets from a checkpoint's records."""
-    return (
-        Dataset("D_BA", checkpoint.d_ba),
-        Dataset("D_AA", checkpoint.d_aa),
-    )

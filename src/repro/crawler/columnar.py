@@ -33,11 +33,66 @@ mapping.
 from __future__ import annotations
 
 from array import array
+from itertools import pairwise, product
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
+
+from repro.util.codec import encode_line, json_type, key_defect
 
 if TYPE_CHECKING:  # imported late at materialisation time (cycle with dataset)
     from repro.browser.topics.manager import TopicsApiCall
     from repro.crawler.dataset import VisitRecord
+
+_OPTIONAL_STR = (str, type(None))
+
+#: A JSONL row's keys and the types its columns hold (``type(value)`` must
+#: be one of them: ``bool`` is not an ``int`` here).
+_ROW_TYPES = (
+    ("accept_clicked", (bool,)),
+    ("banner_language", _OPTIONAL_STR),
+    ("banner_present", (bool,)),
+    ("calls", (list,)),
+    ("cmp", _OPTIONAL_STR),
+    ("domain", (str,)),
+    ("final_domain", (str,)),
+    ("final_url", (str,)),
+    ("phase", (str,)),
+    ("rank", (int,)),
+    ("third_parties", (list,)),
+    ("url", (str,)),
+)
+_CALL_TYPES = (
+    ("at", (int,)),
+    ("call_type", (str,)),
+    ("caller", (str,)),
+    ("caller_host", (str,)),
+    ("decision", (str,)),
+    ("site", (str,)),
+    ("topics_returned", (int,)),
+)
+_ROW_KEYS = frozenset(name for name, _ in _ROW_TYPES)
+_CALL_KEYS = frozenset(name for name, _ in _CALL_TYPES)
+
+#: Each field's value, in the tables' (sorted) order, in one C call.
+_row_values = itemgetter(*(name for name, _ in _ROW_TYPES))
+_call_values = itemgetter(*(name for name, _ in _CALL_TYPES))
+#: Every well-typed row's ``tuple(map(type, values))``.
+_ROW_SIGNATURES = frozenset(product(*(types for _, types in _ROW_TYPES)))
+(_CALL_SIGNATURE,) = product(*(types for _, types in _CALL_TYPES))
+_STR_ONLY = frozenset((str,))
+
+#: What an ``array('q')`` column can hold.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _type_defect(table: tuple, data: dict, prefix: str = "") -> ValueError:
+    """The first field of ``data`` whose type ``table`` does not allow."""
+    for name, types in table:
+        if type(data[name]) not in types:
+            return ValueError(
+                f"field '{prefix}{name}' has the wrong type ({json_type(data[name])})"
+            )
+    return ValueError("a field has the wrong type")
 
 
 class CallBuffers:
@@ -76,6 +131,11 @@ class CallBuffers:
     def __setstate__(self, state: tuple) -> None:
         for name, value in zip(self.__slots__, state):
             setattr(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CallBuffers):
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
 
     def extend(self, other: "CallBuffers") -> None:
         self.caller.extend(other.caller)
@@ -134,6 +194,17 @@ class VisitBuffers:
     def __setstate__(self, state: tuple) -> None:
         for name, value in zip(self.__slots__, state):
             setattr(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VisitBuffers):
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def copy(self) -> "VisitBuffers":
+        """An independent copy of every column."""
+        clone = VisitBuffers()
+        clone.extend(self)
+        return clone
 
     # -- building --------------------------------------------------------------
 
@@ -207,6 +278,85 @@ class VisitBuffers:
             calls.topics_returned.append(call.topics_returned)
         self.call_offsets.append(len(calls))
 
+    def append_row(self, row: object) -> None:
+        """Append one decoded JSONL row: the inverse of :meth:`iter_lines`.
+
+        ``row`` must be an object with exactly a visit's keys, each value
+        of the type its column holds, and so must each of its calls.
+        Raises ``ValueError`` naming the first defect, before anything is
+        appended.
+        """
+        if type(row) is not dict:
+            raise ValueError(f"expected a JSON object, got {json_type(row)}")
+        try:
+            if len(row) != len(_ROW_KEYS):
+                raise KeyError
+            values = _row_values(row)
+        except KeyError:
+            raise ValueError(key_defect(row.keys(), _ROW_KEYS)) from None
+        if tuple(map(type, values)) not in _ROW_SIGNATURES:
+            raise _type_defect(_ROW_TYPES, row)
+        (
+            accept_clicked,
+            banner_language,
+            banner_present,
+            call_rows,
+            cmp,
+            domain,
+            final_domain,
+            final_url,
+            phase,
+            rank,
+            third_parties,
+            url,
+        ) = values
+        if not _INT64_MIN <= rank <= _INT64_MAX:
+            raise ValueError("field 'rank' is out of range")
+        if not _STR_ONLY.issuperset(map(type, third_parties)):
+            raise ValueError("field 'third_parties' holds a non-string")
+        call_values = []
+        for call in call_rows:
+            if type(call) is not dict:
+                raise ValueError(f"a call is {json_type(call)}, expected an object")
+            try:
+                if len(call) != len(_CALL_KEYS):
+                    raise KeyError
+                fields = _call_values(call)
+            except KeyError:
+                defect = key_defect(call.keys(), _CALL_KEYS)
+                raise ValueError(f"a call has {defect}") from None
+            if tuple(map(type, fields)) != _CALL_SIGNATURE:
+                raise _type_defect(_CALL_TYPES, call, "calls.")
+            if not (
+                _INT64_MIN <= fields[0] <= _INT64_MAX
+                and _INT64_MIN <= fields[6] <= _INT64_MAX
+            ):
+                raise ValueError("a call's integer field is out of range")
+            call_values.append(fields)
+
+        self.rank.append(rank)
+        self.domain.append(domain)
+        self.final_domain.append(final_domain)
+        self.url.append(url)
+        self.final_url.append(final_url)
+        self.phase.append(phase)
+        self.banner_present.append(banner_present)
+        self.banner_language.append(banner_language)
+        self.accept_clicked.append(accept_clicked)
+        self.cmp.append(cmp)
+        self.tp_flat.extend(third_parties)
+        self.tp_offsets.append(len(self.tp_flat))
+        calls = self.calls
+        for at, call_type, caller, caller_host, decision, site, topics in call_values:
+            calls.caller.append(caller)
+            calls.caller_host.append(caller_host)
+            calls.site.append(site)
+            calls.call_type.append(call_type)
+            calls.at.append(at)
+            calls.decision.append(decision)
+            calls.topics_returned.append(topics)
+        self.call_offsets.append(len(calls))
+
     def extend(self, other: "VisitBuffers", rank_offset: int = 0) -> None:
         """Concatenate ``other``'s rows, optionally rebasing their ranks.
 
@@ -274,6 +424,78 @@ class VisitBuffers:
     def iter_records(self) -> Iterator["VisitRecord"]:
         for index in range(len(self)):
             yield self.record_at(index)
+
+    # -- JSONL encoding --------------------------------------------------------
+
+    def iter_lines(self, rank_offset: int = 0) -> Iterator[str]:
+        """Each row's JSONL line, its rank shifted by ``rank_offset``.
+
+        The one row encoder: archives, checkpoints, the service's
+        ``shard-result`` event and ``VisitRecord.to_json`` all write
+        these lines.  Keys go in sorted order, so a line is exactly
+        ``json.dumps(dataclasses.asdict(record), sort_keys=True)``.
+        """
+        calls = self.calls
+        caller, caller_host, site = calls.caller, calls.caller_host, calls.site
+        call_type, at, decision = calls.call_type, calls.at, calls.decision
+        topics_returned = calls.topics_returned
+        tp_flat = self.tp_flat
+        encode = encode_line
+        rows = zip(
+            self.rank,
+            self.domain,
+            self.final_domain,
+            self.url,
+            self.final_url,
+            self.phase,
+            self.banner_present,
+            self.banner_language,
+            self.accept_clicked,
+            self.cmp,
+            pairwise(self.tp_offsets),
+            pairwise(self.call_offsets),
+        )
+        for (
+            rank,
+            domain,
+            final_domain,
+            url,
+            final_url,
+            phase,
+            banner_present,
+            banner_language,
+            accept_clicked,
+            cmp,
+            (tp_lo, tp_hi),
+            (call_lo, call_hi),
+        ) in rows:
+            yield encode(
+                {
+                    "accept_clicked": bool(accept_clicked),
+                    "banner_language": banner_language,
+                    "banner_present": bool(banner_present),
+                    "calls": [
+                        {
+                            "at": at[j],
+                            "call_type": call_type[j],
+                            "caller": caller[j],
+                            "caller_host": caller_host[j],
+                            "decision": decision[j],
+                            "site": site[j],
+                            "topics_returned": topics_returned[j],
+                        }
+                        for j in range(call_lo, call_hi)
+                    ],
+                    "cmp": cmp,
+                    "domain": domain,
+                    "final_domain": final_domain,
+                    "final_url": final_url,
+                    "phase": phase,
+                    "rank": rank + rank_offset,
+                    "third_parties": tp_flat[tp_lo:tp_hi],
+                    "url": url,
+                }
+            )
 
     # -- column-native views (aggregate helpers) -------------------------------
 

@@ -18,14 +18,16 @@ always did.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.attestation.allowlist import GatingDecision
 from repro.browser.topics.manager import TopicsApiCall
 from repro.browser.topics.types import ApiCallType
 from repro.crawler.columnar import VisitBuffers
+from repro.util.codec import FormatError, jsonl_values
 from repro.util.fsio import atomic_write_lines
 from repro.util.timeline import Timestamp
 
@@ -93,19 +95,20 @@ class VisitRecord:
         return bool(self.calls)
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["third_parties"] = list(self.third_parties)
-        payload["calls"] = [asdict(call) for call in self.calls]
-        return json.dumps(payload, sort_keys=True)
+        """This record's JSONL line, from the one row encoder."""
+        buffers = VisitBuffers()
+        buffers.append_record(self)
+        return next(buffers.iter_lines())
 
     @classmethod
     def from_json(cls, line: str) -> "VisitRecord":
-        payload = json.loads(line)
-        payload["third_parties"] = tuple(payload["third_parties"])
-        payload["calls"] = tuple(
-            CallRecord(**call) for call in payload["calls"]
-        )
-        return cls(**payload)
+        """Decode one JSONL line; :class:`FormatError` on a bad one."""
+        buffers = VisitBuffers()
+        try:
+            buffers.append_row(json.loads(line))
+        except ValueError as exc:
+            raise FormatError("<record>", None, str(exc)) from None
+        return buffers.record_at(0)
 
 
 class AmbiguousDomainError(LookupError):
@@ -122,25 +125,26 @@ class Dataset:
     """An append-only collection of visit records with common queries.
 
     A lazy materialisation facade: rows live in columnar
-    :class:`VisitBuffers`; ``VisitRecord`` objects are built on first
-    access per row and memoised, so aggregate-only consumers never pay
-    for record objects at all.
+    :class:`VisitBuffers`.  Aggregates and full-row scans read the
+    columns; a ``VisitRecord`` is built (and memoised) only for a row a
+    consumer asks for by record: iteration, :meth:`iter_calls`,
+    :meth:`by_domain` and :meth:`all_by_domain`.
     """
 
     def __init__(self, name: str, records: Iterable[VisitRecord] = ()) -> None:
         self.name = name
         self._buffers = VisitBuffers()
-        self._memo: list[VisitRecord | None] = []
+        #: row index -> its materialised record, for rows asked for so far
+        self._memo: dict[int, VisitRecord] = {}
         self._domain_rows: dict[str, list[int]] | None = None
         for record in records:
             self.add(record)
 
     @classmethod
     def from_buffers(cls, name: str, buffers: VisitBuffers) -> "Dataset":
-        """Wrap already-built columns (the shard-result ingest path)."""
+        """Wrap already-built columns (shard results, loaded archives)."""
         dataset = cls(name)
         dataset._buffers = buffers
-        dataset._memo = [None] * len(buffers)
         return dataset
 
     @property
@@ -149,10 +153,9 @@ class Dataset:
         return self._buffers
 
     def add(self, record: VisitRecord) -> None:
+        # The caller's object IS the new row's materialisation.
+        self._memo[len(self._buffers)] = record
         self._buffers.append_record(record)
-        # The caller's object IS row len-1's materialisation; keep it so
-        # checkpoint-restore round-trips return identical objects.
-        self._memo.append(record)
         self._domain_rows = None
 
     def append_visit(
@@ -186,20 +189,15 @@ class Dataset:
             third_parties=third_parties,
             api_calls=api_calls,
         )
-        self._memo.append(None)
         self._domain_rows = None
 
     def extend_rebased(self, other: "Dataset", rank_offset: int) -> None:
         """Splice another dataset's columns in, rebasing ranks (shard merge)."""
         self._buffers.extend(other._buffers, rank_offset)
-        if rank_offset:
-            self._memo.extend([None] * len(other._buffers))
-        else:
-            self._memo.extend(other._memo)
         self._domain_rows = None
 
     def _record_at(self, index: int) -> VisitRecord:
-        record = self._memo[index]
+        record = self._memo.get(index)
         if record is None:
             record = self._memo[index] = self._buffers.record_at(index)
         return record
@@ -247,6 +245,32 @@ class Dataset:
             for index in self._rows_by_domain().get(domain, ())
         )
 
+    # -- column reads (no records built) -------------------------------------------
+
+    def column(self, name: str) -> Sequence:
+        """One per-row field in row order: ``rank``, ``domain``, ``phase``,
+        ``cmp``, ``banner_language``, ``accept_clicked`` … (read-only)."""
+        if name not in _SCALAR_COLUMNS:
+            raise KeyError(f"no per-row column {name!r}")
+        return getattr(self._buffers, name)
+
+    def third_parties_by_row(self) -> Iterator[list[str]]:
+        """Each row's third parties, in row order."""
+        flat = self._buffers.tp_flat
+        for lo, hi in pairwise(self._buffers.tp_offsets):
+            yield flat[lo:hi]
+
+    def calls_by_row(self, field: str = "caller") -> Iterator[tuple[int, Sequence]]:
+        """``(row, that row's values of one call field)`` for rows with calls."""
+        values = getattr(self._buffers.calls, field)
+        for index, (lo, hi) in enumerate(pairwise(self._buffers.call_offsets)):
+            if lo != hi:
+                yield index, values[lo:hi]
+
+    def call_count(self) -> int:
+        """Topics calls across every row."""
+        return len(self._buffers.calls)
+
     # -- common aggregates ---------------------------------------------------------
 
     def site_count(self) -> int:
@@ -270,49 +294,62 @@ class Dataset:
         return set(self._buffers.calls.caller)
 
     def sites_with_calls(self) -> set[str]:
-        buffers = self._buffers
-        offsets = buffers.call_offsets
-        return {
-            buffers.domain[index]
-            for index in range(len(buffers))
-            if offsets[index] != offsets[index + 1]
-        }
+        domains = self._buffers.domain
+        return {domains[index] for index, _ in self.calls_by_row()}
 
     def presence_of(self, party: str) -> set[str]:
         """Sites on which ``party`` appears among loaded third parties."""
-        buffers = self._buffers
-        offsets = buffers.tp_offsets
-        flat = buffers.tp_flat
-        present: set[str] = set()
-        for index in range(len(buffers)):
-            for position in range(offsets[index], offsets[index + 1]):
-                if flat[position] == party:
-                    present.add(buffers.domain[index])
-                    break
-        return present
+        return {
+            domain
+            for domain, parties in zip(
+                self._buffers.domain, self.third_parties_by_row()
+            )
+            if party in parties
+        }
 
     def callers_by_site_count(self) -> dict[str, int]:
         """CP → number of distinct sites where it called."""
-        buffers = self._buffers
-        offsets = buffers.call_offsets
-        callers = buffers.calls.caller
+        domains = self._buffers.domain
         sites: dict[str, set[str]] = {}
-        for index in range(len(buffers)):
-            domain = buffers.domain[index]
-            for position in range(offsets[index], offsets[index + 1]):
-                sites.setdefault(callers[position], set()).add(domain)
+        for index, callers in self.calls_by_row():
+            for caller in callers:
+                sites.setdefault(caller, set()).add(domains[index])
         return {caller: len(site_set) for caller, site_set in sites.items()}
 
     # -- persistence ---------------------------------------------------------------
 
     def to_jsonl(self, path: str | Path) -> None:
-        atomic_write_lines(path, (record.to_json() for record in self))
+        atomic_write_lines(path, self._buffers.iter_lines())
 
     @classmethod
     def from_jsonl(cls, name: str, path: str | Path) -> "Dataset":
-        records = []
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    records.append(VisitRecord.from_json(line))
-        return cls(name, records)
+        """Decode a JSONL dataset straight into columns, failing closed.
+
+        A line that is not JSON, not a visit object, or has a missing,
+        extra or mistyped field raises :class:`FormatError` naming the
+        file and line.
+        """
+        buffers = VisitBuffers()
+        for number, row in jsonl_values(path):
+            try:
+                buffers.append_row(row)
+            except ValueError as exc:
+                raise FormatError(path, number, str(exc)) from None
+        return cls.from_buffers(name, buffers)
+
+
+#: The per-row scalar columns :meth:`Dataset.column` hands out.
+_SCALAR_COLUMNS = frozenset(
+    (
+        "rank",
+        "domain",
+        "final_domain",
+        "url",
+        "final_url",
+        "phase",
+        "banner_present",
+        "banner_language",
+        "accept_clicked",
+        "cmp",
+    )
+)

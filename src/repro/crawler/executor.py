@@ -35,7 +35,6 @@ runs.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -46,7 +45,6 @@ from repro.crawler.checkpoint import (
     MissingRange,
     RetryPolicy,
     ShardCheckpoint,
-    restore_datasets,
 )
 from repro.crawler.columnar import VisitBuffers
 from repro.obs import EventKind, Span, Telemetry, TelemetryExport
@@ -300,8 +298,8 @@ def _degraded_result(
         report = CrawlReport(targets=len(plan.domains))
         visits_done = 0
     else:
-        d_ba, d_aa = (dataset.buffers for dataset in restore_datasets(checkpoint))
-        report = CrawlReport(**dataclasses.asdict(checkpoint.report))
+        d_ba, d_aa = checkpoint.d_ba, checkpoint.d_aa
+        report = checkpoint.report.copy()
         report.finished_at = checkpoint.clock_now
         visits_done = checkpoint.visits_done
     return ShardResult(

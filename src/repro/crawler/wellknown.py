@@ -10,8 +10,9 @@ timeline of §3.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from itertools import product
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 from weakref import WeakKeyDictionary
@@ -22,6 +23,13 @@ from repro.attestation.wellknown import (
 )
 from repro.obs import EventKind, Telemetry
 from repro.obs.spans import SPAN_ATTESTATION_FETCH, SPAN_ATTESTATION_SURVEY
+from repro.util.codec import (
+    FormatError,
+    encode_line,
+    json_type,
+    jsonl_values,
+    key_defect,
+)
 from repro.util.fsio import atomic_write_lines
 from repro.util.timeline import Timestamp
 
@@ -42,6 +50,49 @@ class AttestationProbe:
     @property
     def attested(self) -> bool:
         return self.served and self.valid
+
+    def to_json(self) -> str:
+        """This probe's survey line: its fields in declaration order."""
+        return encode_line(
+            {
+                "domain": self.domain,
+                "served": self.served,
+                "valid": self.valid,
+                "issued": self.issued,
+                "has_enrollment_site": self.has_enrollment_site,
+            }
+        )
+
+    @classmethod
+    def from_dict(cls, row: object) -> "AttestationProbe":
+        """Build a probe from a decoded survey line; ``ValueError`` on a bad one."""
+        if type(row) is not dict:
+            raise ValueError(f"expected a JSON object, got {json_type(row)}")
+        try:
+            if len(row) != len(_PROBE_KEYS):
+                raise KeyError
+            values = _probe_values(row)
+        except KeyError:
+            raise ValueError(key_defect(row.keys(), _PROBE_KEYS)) from None
+        if tuple(map(type, values)) not in _PROBE_SIGNATURES:
+            for name, types in _PROBE_TYPES:
+                if type(row[name]) not in types:
+                    raise ValueError(
+                        f"field {name!r} has the wrong type ({json_type(row[name])})"
+                    )
+        return cls(*values)
+
+
+_PROBE_TYPES = (
+    ("domain", (str,)),
+    ("served", (bool,)),
+    ("valid", (bool,)),
+    ("issued", (str, type(None))),
+    ("has_enrollment_site", (bool,)),
+)
+_PROBE_KEYS = frozenset(name for name, _ in _PROBE_TYPES)
+_probe_values = itemgetter(*(name for name, _ in _PROBE_TYPES))
+_PROBE_SIGNATURES = frozenset(product(*(types for _, types in _PROBE_TYPES)))
 
 
 class AttestationSurvey:
@@ -82,19 +133,18 @@ class AttestationSurvey:
         """Archive the survey (one probe per line) next to the datasets."""
         atomic_write_lines(
             path,
-            (
-                json.dumps(asdict(self._by_domain[domain]))
-                for domain in sorted(self._by_domain)
-            ),
+            (self._by_domain[domain].to_json() for domain in sorted(self._by_domain)),
         )
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "AttestationSurvey":
+        """Read an archived survey; :class:`FormatError` on a bad line."""
         probes = []
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    probes.append(AttestationProbe(**json.loads(line)))
+        for number, row in jsonl_values(path):
+            try:
+                probes.append(AttestationProbe.from_dict(row))
+            except ValueError as exc:
+                raise FormatError(path, number, str(exc)) from None
         return cls(probes)
 
 

@@ -2,15 +2,18 @@
 
 Every reader of a telemetry file goes through these helpers, so a
 truncated, mistyped or non-UTF-8 file raises one typed
-:class:`TelemetryFormatError` that names the file, the line and the
-reason, instead of a bare decoder traceback.
+:class:`TelemetryFormatError` (a :class:`repro.util.codec.FormatError`)
+that names the file, the line and the reason, instead of a bare decoder
+traceback.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
+
+from repro.util.codec import FormatError, numbered_lines
 
 _T = TypeVar("_T")
 
@@ -18,23 +21,8 @@ _T = TypeVar("_T")
 _PARSE_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
 
-class TelemetryFormatError(json.JSONDecodeError):
-    """A trace, span or metrics file that does not parse.
-
-    ``line`` is 1-based, or ``None`` when the failure is not tied to one
-    line.  A :class:`json.JSONDecodeError` (and so a ``ValueError``), so
-    callers that caught the decoder's own error keep working.
-    """
-
-    def __init__(self, path: str | Path, line: int | None, reason: str) -> None:
-        where = str(path) if line is None else f"{path}:{line}"
-        ValueError.__init__(self, f"{where}: {reason}")
-        self.path, self.line, self.reason = str(path), line, reason
-        self.msg, self.doc, self.pos = reason, "", 0
-        self.lineno, self.colno = line or 0, 0
-
-    def __reduce__(self):
-        return type(self), (self.path, self.line, self.reason)
+class TelemetryFormatError(FormatError):
+    """A trace, span or metrics file that does not parse."""
 
 
 def _failure(
@@ -79,21 +67,10 @@ def pop_fields(data: dict, checks: dict[str, Callable[[object], bool]]) -> list:
     return values
 
 
-def _jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """``(line number, line)`` for the non-blank lines of a JSONL file."""
-    with Path(path).open("r", encoding="utf-8") as handle:
-        try:
-            for number, line in enumerate(handle, start=1):
-                if line.strip():
-                    yield number, line
-        except UnicodeDecodeError as exc:
-            raise TelemetryFormatError(path, None, "not UTF-8 text") from exc
-
-
 def read_jsonl_records(path: str | Path, parse: Callable[[str], _T]) -> list[_T]:
     """Parse every line of a telemetry JSONL file but its meta line."""
     records: list[_T] = []
-    for number, line in _jsonl_lines(path):
+    for number, line in numbered_lines(path, TelemetryFormatError):
         if line.startswith('{"meta"'):
             continue
         try:
@@ -108,7 +85,7 @@ def read_jsonl_meta(path: str | Path, fields: tuple[str, ...]) -> list | None:
 
     ``None`` when the first line is not a meta line (legacy files).
     """
-    for number, line in _jsonl_lines(path):
+    for number, line in numbered_lines(path, TelemetryFormatError):
         if not line.startswith('{"meta"'):
             return None
         try:

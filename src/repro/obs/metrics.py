@@ -283,41 +283,47 @@ class MetricsSnapshot:
     # -- persistence ----------------------------------------------------------
 
     def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    def to_dict(self) -> dict:
+        """The snapshot as plain JSON data (what :meth:`to_json` writes)."""
+
         def entry(name: str, labels: LabelSet, payload) -> dict:
             return {"name": name, "labels": dict(labels), **payload}
 
-        return json.dumps(
-            {
-                "counters": [
-                    entry(name, labels, {"value": value})
-                    for (name, labels), value in sorted(self.counters.items())
-                ],
-                "gauges": [
-                    entry(name, labels, {"value": value})
-                    for (name, labels), value in sorted(self.gauges.items())
-                ],
-                "histograms": [
-                    entry(
-                        name,
-                        labels,
-                        {
-                            "bounds": list(data.bounds),
-                            "bucket_counts": list(data.bucket_counts),
-                            "count": data.count,
-                            "total": data.total,
-                            "min": data.min,
-                            "max": data.max,
-                        },
-                    )
-                    for (name, labels), data in sorted(self.histograms.items())
-                ],
-            },
-            indent=2,
-        )
+        return {
+            "counters": [
+                entry(name, labels, {"value": value})
+                for (name, labels), value in sorted(self.counters.items())
+            ],
+            "gauges": [
+                entry(name, labels, {"value": value})
+                for (name, labels), value in sorted(self.gauges.items())
+            ],
+            "histograms": [
+                entry(
+                    name,
+                    labels,
+                    {
+                        "bounds": list(data.bounds),
+                        "bucket_counts": list(data.bucket_counts),
+                        "count": data.count,
+                        "total": data.total,
+                        "min": data.min,
+                        "max": data.max,
+                    },
+                )
+                for (name, labels), data in sorted(self.histograms.items())
+            ],
+        }
 
     @classmethod
     def from_json(cls, payload: str) -> "MetricsSnapshot":
-        data = json.loads(payload)
+        return cls.from_dict(json.loads(payload))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "MetricsSnapshot":
+        """The inverse of :meth:`to_dict`."""
         counters = {
             (item["name"], _labelset(item["labels"])): float(item["value"])
             for item in data.get("counters", ())

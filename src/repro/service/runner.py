@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Callable, Mapping
 from repro.crawler.archive import save_crawl
 from repro.crawler.checkpoint import RetryPolicy
 from repro.crawler.crawl import Crawl, CrawlOutcome
-from repro.crawler.dataset import Dataset
 from repro.crawler.executor import (
     CancelFlag,
     CompositeInjector,
@@ -104,10 +103,6 @@ def shard_result_payload(plan: ShardPlan, result: ShardResult) -> dict:
     ``d_ba.jsonl`` — so a streaming consumer can reassemble the batch
     dataset without waiting for the merge.
     """
-    rebased = Dataset("D_BA")
-    rebased.extend_rebased(
-        Dataset.from_buffers("D_BA", result.d_ba), plan.rank_offset
-    )
     report = result.report
     return {
         "shard": plan.shard_index,
@@ -117,7 +112,7 @@ def shard_result_payload(plan: ShardPlan, result: ShardResult) -> dict:
         "accepted": report.accepted,
         "retries": len(result.retries),
         "resumed_from": result.resumed_from,
-        "d_ba": [record.to_json() for record in rebased],
+        "d_ba": list(result.d_ba.iter_lines(plan.rank_offset)),
     }
 
 

@@ -220,31 +220,31 @@ def _report_accounting(a: CrawlArtifacts) -> Iterator:
 )
 def _rank_partition(a: CrawlArtifacts) -> Iterator:
     targets = a.result.report.targets
+    d_ba, d_aa = a.result.d_ba, a.result.d_aa
     seen: dict[int, str] = {}
-    for record in a.result.d_ba:
-        if record.rank in seen:
+    for rank, domain in zip(d_ba.column("rank"), d_ba.column("domain")):
+        if rank in seen:
             yield fail(
-                f"rank {record.rank} assigned to both {seen[record.rank]!r} "
-                f"and {record.domain!r}",
-                rank=record.rank,
-                domains=[seen[record.rank], record.domain],
+                f"rank {rank} assigned to both {seen[rank]!r} and {domain!r}",
+                rank=rank,
+                domains=[seen[rank], domain],
             )
-        seen[record.rank] = record.domain
-        if not 1 <= record.rank <= targets:
+        seen[rank] = domain
+        if not 1 <= rank <= targets:
             yield fail(
-                f"D_BA rank {record.rank} ({record.domain!r}) is outside "
+                f"D_BA rank {rank} ({domain!r}) is outside "
                 f"the campaign slice [1, {targets}]",
-                rank=record.rank,
-                domain=record.domain,
+                rank=rank,
+                domain=domain,
                 targets=targets,
             )
-    for record in a.result.d_aa:
-        if seen.get(record.rank) != record.domain:
+    for rank, domain in zip(d_aa.column("rank"), d_aa.column("domain")):
+        if seen.get(rank) != domain:
             yield fail(
-                f"D_AA rank {record.rank} ({record.domain!r}) does not match "
+                f"D_AA rank {rank} ({domain!r}) does not match "
                 "any Before-Accept visit",
-                rank=record.rank,
-                domain=record.domain,
+                rank=rank,
+                domain=domain,
             )
 
 
@@ -254,28 +254,32 @@ def _rank_partition(a: CrawlArtifacts) -> Iterator:
     requires={ARTIFACT_DATASETS},
 )
 def _after_accept_subset(a: CrawlArtifacts) -> Iterator:
+    d_ba, d_aa = a.result.d_ba, a.result.d_aa
+    ba_domains = d_ba.column("domain")
     accepted = {
-        record.domain for record in a.result.d_ba if record.accept_clicked
+        domain
+        for domain, clicked in zip(ba_domains, d_ba.column("accept_clicked"))
+        if clicked
     }
-    for record in a.result.d_ba:
-        if record.phase != PHASE_BEFORE:
+    for domain, phase in zip(ba_domains, d_ba.column("phase")):
+        if phase != PHASE_BEFORE:
             yield fail(
-                f"D_BA row {record.domain!r} carries phase {record.phase!r}",
-                domain=record.domain,
-                phase=record.phase,
+                f"D_BA row {domain!r} carries phase {phase!r}",
+                domain=domain,
+                phase=phase,
             )
-    for record in a.result.d_aa:
-        if record.phase != PHASE_AFTER:
+    for domain, phase in zip(d_aa.column("domain"), d_aa.column("phase")):
+        if phase != PHASE_AFTER:
             yield fail(
-                f"D_AA row {record.domain!r} carries phase {record.phase!r}",
-                domain=record.domain,
-                phase=record.phase,
+                f"D_AA row {domain!r} carries phase {phase!r}",
+                domain=domain,
+                phase=phase,
             )
-        if record.domain not in accepted:
+        if domain not in accepted:
             yield fail(
-                f"D_AA visits {record.domain!r} but no accepted Before-Accept "
+                f"D_AA visits {domain!r} but no accepted Before-Accept "
                 "visit exists for it",
-                domain=record.domain,
+                domain=domain,
             )
 
 
@@ -380,21 +384,21 @@ def _questionable_before_accept(a: CrawlArtifacts) -> Iterator:
             )
     # The same site's Before-Accept calls must all pre-date its
     # After-Accept calls — consent cannot leak backwards in time.
+    ba_domains = result.d_ba.column("domain")
     last_before = {
-        record.domain: max(call.at for call in record.calls)
-        for record in result.d_ba
-        if record.calls
+        ba_domains[index]: max(times)
+        for index, times in result.d_ba.calls_by_row("at")
     }
-    for record in result.d_aa:
-        if not record.calls:
-            continue
-        first_after = min(call.at for call in record.calls)
-        boundary = last_before.get(record.domain)
+    aa_domains = result.d_aa.column("domain")
+    for index, times in result.d_aa.calls_by_row("at"):
+        domain = aa_domains[index]
+        first_after = min(times)
+        boundary = last_before.get(domain)
         if boundary is not None and boundary > first_after:
             yield fail(
-                f"{record.domain!r} has a Before-Accept call at {boundary} "
+                f"{domain!r} has a Before-Accept call at {boundary} "
                 f"after its first After-Accept call at {first_after}",
-                domain=record.domain,
+                domain=domain,
                 last_before=boundary,
                 first_after=first_after,
             )
@@ -562,11 +566,7 @@ def _trace_consistency(a: CrawlArtifacts) -> Iterator:
     for event in events:
         counts[event.kind] = counts.get(event.kind, 0) + 1
     report = a.result.report
-    dataset_calls = sum(
-        len(record.calls)
-        for dataset in (a.result.d_ba, a.result.d_aa)
-        for record in dataset
-    )
+    dataset_calls = a.result.d_ba.call_count() + a.result.d_aa.call_count()
     expectations = (
         ("banner-interaction", report.ok),
         ("topics-call", dataset_calls),
@@ -666,11 +666,7 @@ def _metrics_consistency(a: CrawlArtifacts) -> Iterator:
                 actual=actual,
                 expected=expected,
             )
-    dataset_calls = sum(
-        len(record.calls)
-        for dataset in (a.result.d_ba, a.result.d_aa)
-        for record in dataset
-    )
+    dataset_calls = a.result.d_ba.call_count() + a.result.d_aa.call_count()
     instrumented_calls = snapshot.counter_total("topics_calls_total")
     if instrumented_calls < dataset_calls:
         yield fail(
@@ -813,11 +809,12 @@ def _partial_consistency(a: CrawlArtifacts) -> Iterator:
         for entry in ranges
         for rank in range(entry.from_rank, entry.to_rank + 1)
     }
-    for record in a.result.d_ba:
-        if record.rank in missing_ranks:
+    d_ba = a.result.d_ba
+    for rank, domain in zip(d_ba.column("rank"), d_ba.column("domain")):
+        if rank in missing_ranks:
             yield fail(
-                f"rank {record.rank} ({record.domain!r}) was crawled yet "
+                f"rank {rank} ({domain!r}) was crawled yet "
                 "falls inside a missing range",
-                rank=record.rank,
-                domain=record.domain,
+                rank=rank,
+                domain=domain,
             )

@@ -24,8 +24,8 @@ from repro.crawler.checkpoint import (
     RetryPolicy,
     ShardCheckpoint,
     campaign_fingerprint,
-    restore_datasets,
 )
+from repro.crawler.columnar import VisitBuffers
 from repro.util.timeline import SimClock
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -57,8 +57,8 @@ def _checkpoint_for(browser: Browser, visits_done: int = 10) -> ShardCheckpoint:
         browser_state=snapshot,
         state_digest=state_digest_of(snapshot),
         report=CrawlReport(targets=50, ok=visits_done, started_at=0),
-        d_ba=(),
-        d_aa=(),
+        d_ba=VisitBuffers(),
+        d_aa=VisitBuffers(),
     )
 
 
@@ -190,11 +190,6 @@ class TestCheckpointStore:
         store = CheckpointStore(tmp_path)
         store.write(_checkpoint_for(_browser_after_visits(tiny_world, 10)))
         assert store.shards() == [1]
-
-    def test_restore_datasets_names(self, tiny_world):
-        checkpoint = _checkpoint_for(_browser_after_visits(tiny_world, 10))
-        d_ba, d_aa = restore_datasets(checkpoint)
-        assert (d_ba.name, d_aa.name) == ("D_BA", "D_AA")
 
 
 class TestRetryPolicy:

@@ -320,6 +320,46 @@ class TestValidateCommand:
         assert code == 2
         assert err.startswith(f"error: {trace}:{lines + 1}: ")
 
+    @pytest.mark.parametrize(
+        "name, line, reason",
+        [
+            ("d_ba.jsonl", '{"rank": 9, "dom', "malformed JSON"),
+            ("d_ba.jsonl", "[1,2]", "expected a JSON object, got array"),
+            ("attestation_survey.jsonl", '{"domain": "x.com"}', "missing field"),
+        ],
+        ids=["truncated-row", "array-row", "short-probe"],
+    )
+    def test_corrupt_archive_line_fails_closed(
+        self, capsys, tmp_path, name, line, reason
+    ):
+        out_dir = tmp_path / "campaign"
+        assert main(["crawl", "--sites", "300", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        target = out_dir / name
+        lines = len(target.read_text().splitlines())
+        with target.open("a") as handle:
+            handle.write(line + "\n")
+        code = main(["validate", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {target}:{lines + 1}: {reason}")
+
+    def test_extra_report_key_fails_closed(self, capsys, tmp_path):
+        out_dir = tmp_path / "campaign"
+        assert main(["crawl", "--sites", "300", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        import json
+
+        report = json.loads((out_dir / "report.json").read_text())
+        report["bogus"] = 1
+        (out_dir / "report.json").write_text(json.dumps(report))
+        code = main(["validate", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            f"error: {out_dir / 'report.json'}: unexpected field 'bogus'"
+        )
+
     def test_validate_without_archive_errors(self, capsys):
         code = main(["validate"])
         out = capsys.readouterr().out

@@ -16,6 +16,7 @@ from repro.attestation.wellknown import (
 )
 from repro.crawler.archive import load_crawl, save_crawl
 from repro.crawler.dataset import Dataset, VisitRecord
+from repro.util.codec import FormatError
 from repro.web.tranco import TrancoList
 
 
@@ -31,8 +32,9 @@ class TestDatasetCorruption:
     def test_missing_field(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"rank": 1, "domain": "a.com"}\n')
-        with pytest.raises((TypeError, KeyError)):
+        with pytest.raises(FormatError, match="missing field") as caught:
             Dataset.from_jsonl("D_BA", path)
+        assert caught.value.line == 1
 
     def test_garbage_call_record(self):
         record_json = json.dumps(
@@ -51,7 +53,7 @@ class TestDatasetCorruption:
                 "calls": [{"not": "a call"}],
             }
         )
-        with pytest.raises(TypeError):
+        with pytest.raises(FormatError, match="a call has missing field"):
             VisitRecord.from_json(record_json)
 
 
