@@ -129,8 +129,8 @@ def attestation_targets(
     the two execution modes cannot drift apart.
     """
     encountered = d_ba.unique_third_parties() | d_aa.unique_third_parties()
-    encountered.update(d_ba.buffers.domain)
-    encountered.update(d_ba.buffers.final_domain)
+    encountered.update(d_ba.column("domain"))
+    encountered.update(d_ba.column("final_domain"))
     encountered.update(allowed)
     return encountered
 

@@ -20,10 +20,14 @@ columns built from stdlib primitives only:
 
 Rows append in O(1), buffers concatenate in O(rows) without touching
 per-call objects, and the whole structure pickles as a few flat
-buffers.  ``repro.crawler.dataset`` wraps these buffers in the lazy
-``Dataset`` facade that re-materialises ``VisitRecord`` objects on
-demand, so every downstream consumer (analysis, validate, archive)
-keeps its record-oriented view.
+buffers.  The JSONL codec works on the columns too:
+:meth:`VisitBuffers.iter_lines` is the one row encoder (archives,
+checkpoints, the service's ``shard-result`` events,
+``VisitRecord.to_json``), and :meth:`VisitBuffers.append_row` checks a
+decoded line and appends it straight into the columns.  ``repro.crawler.dataset`` wraps
+these buffers in the ``Dataset`` facade, whose full-row scans read the
+columns and which materialises ``VisitRecord`` objects only for the
+rows a consumer asks for.
 
 The row layout mirrors ``VisitRecord`` exactly; see
 :meth:`VisitBuffers.record_at` for the authoritative column ↔ field
@@ -254,7 +258,12 @@ class VisitBuffers:
         self.call_offsets.append(len(calls))
 
     def append_record(self, record: "VisitRecord") -> None:
-        """Append one row from an already-materialised record."""
+        """Append one row from an already-materialised record.
+
+        Serves datasets built from records in memory (``Dataset.add``)
+        and ``VisitRecord.to_json``; loaded archives and checkpoints
+        come in through :meth:`append_row` instead.
+        """
         self.rank.append(record.rank)
         self.domain.append(record.domain)
         self.final_domain.append(record.final_domain)

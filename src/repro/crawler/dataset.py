@@ -8,11 +8,15 @@ and round-trip losslessly through JSONL so campaigns can be archived and
 re-analysed, as the paper's released dataset is.
 
 Storage is columnar: a :class:`Dataset` owns a
-:class:`repro.crawler.columnar.VisitBuffers` and materialises
-:class:`VisitRecord` objects lazily (memoised per row), so the crawl hot
-loop appends plain scalars while every record-oriented consumer
-(analysis, validate, archive, checkpointing) sees the exact objects it
-always did.
+:class:`repro.crawler.columnar.VisitBuffers`.  The crawl hot loop
+appends plain scalars; archives, checkpoints and the service's
+``shard-result`` events encode their JSONL lines straight from the
+columns and decode them straight back; and the analysis and validation
+scans that walk every row read columns through :meth:`Dataset.column`,
+:meth:`Dataset.third_parties_by_row` and :meth:`Dataset.calls_by_row`.
+:class:`VisitRecord` objects are built lazily (memoised per row) only
+where a consumer asks for records: iteration, :meth:`Dataset.iter_calls`
+(rows with calls) and the by-domain lookups.
 """
 
 from __future__ import annotations
@@ -34,6 +38,22 @@ from repro.util.timeline import Timestamp
 #: Visit-phase labels, matching the paper's dataset names.
 PHASE_BEFORE = "before-accept"
 PHASE_AFTER = "after-accept"
+
+#: The per-row scalar columns :meth:`Dataset.column` hands out.
+_SCALAR_COLUMNS = frozenset(
+    (
+        "rank",
+        "domain",
+        "final_domain",
+        "url",
+        "final_url",
+        "phase",
+        "banner_present",
+        "banner_language",
+        "accept_clicked",
+        "cmp",
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -248,8 +268,11 @@ class Dataset:
     # -- column reads (no records built) -------------------------------------------
 
     def column(self, name: str) -> Sequence:
-        """One per-row field in row order: ``rank``, ``domain``, ``phase``,
-        ``cmp``, ``banner_language``, ``accept_clicked`` … (read-only)."""
+        """One per-row scalar field, in row order (shared: do not mutate).
+
+        Any ``VisitRecord`` field but ``third_parties`` and ``calls``;
+        the two flags read as 0/1.
+        """
         if name not in _SCALAR_COLUMNS:
             raise KeyError(f"no per-row column {name!r}")
         return getattr(self._buffers, name)
@@ -336,20 +359,3 @@ class Dataset:
             except ValueError as exc:
                 raise FormatError(path, number, str(exc)) from None
         return cls.from_buffers(name, buffers)
-
-
-#: The per-row scalar columns :meth:`Dataset.column` hands out.
-_SCALAR_COLUMNS = frozenset(
-    (
-        "rank",
-        "domain",
-        "final_domain",
-        "url",
-        "final_url",
-        "phase",
-        "banner_present",
-        "banner_language",
-        "accept_clicked",
-        "cmp",
-    )
-)

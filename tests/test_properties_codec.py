@@ -38,7 +38,7 @@ calls = st.builds(
 )
 records = st.builds(
     VisitRecord,
-    rank=st.integers(0, 2**62),
+    rank=st.integers(0, 2**62 - 1),
     domain=text,
     final_domain=text,
     url=text,
@@ -51,7 +51,7 @@ records = st.builds(
     third_parties=st.lists(text, max_size=4).map(tuple),
     calls=st.lists(calls, max_size=3).map(tuple),
 )
-rank_offsets = st.integers(0, 2**62)
+rank_offsets = st.integers(0, 2**62 - 1)  # rank + offset stays an int64
 probes = st.builds(
     AttestationProbe,
     domain=text,
