@@ -55,11 +55,9 @@ def figure3(
     for third_parties in d_aa.third_parties_by_row():
         for party in legit.intersection(third_parties):
             presence[party] = presence.get(party, 0) + 1
-    domains = d_aa.column("domain")
-    for index, callers in d_aa.calls_by_row():
-        for caller in callers:
-            if caller in legit:
-                called.setdefault(caller, set()).add(domains[index])
+    for domain, caller in d_aa.call_values("domain", "caller"):
+        if caller in legit:
+            called.setdefault(caller, set()).add(domain)
 
     rows = [
         EnabledRate(

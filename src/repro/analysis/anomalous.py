@@ -82,12 +82,15 @@ def anomalous_calls(
     refuses these callers, so they constitute no usage — they only become
     observable under the corrupted-database setup (§2.3).
     """
+    unlisted = {
+        caller
+        for caller in dataset.calling_parties()
+        if caller not in allowed_domains and not survey.is_attested(caller)
+    }
     return [
         (record, call)
-        for record, call in dataset.iter_calls()
+        for record, call in dataset.iter_calls(unlisted)
         if call.allowed
-        and call.caller not in allowed_domains
-        and not survey.is_attested(call.caller)
     ]
 
 

@@ -53,10 +53,10 @@ def call_type_mix_by_caller(
     ``min_calls`` drops parties with too few calls to characterise.
     """
     counts: dict[str, Counter[str]] = {}
-    for _, call in dataset.iter_calls():
-        if callers is not None and call.caller not in callers:
+    for caller, call_type in dataset.call_values("caller", "call_type"):
+        if callers is not None and caller not in callers:
             continue
-        counts.setdefault(call.caller, Counter())[call.call_type] += 1
+        counts.setdefault(caller, Counter())[call_type] += 1
     mixes = [
         CallTypeMix(caller=caller, counts=dict(mix))
         for caller, mix in counts.items()
@@ -71,10 +71,10 @@ def aggregate_mix(
 ) -> CallTypeMix:
     """One mix over the whole (filtered) call population."""
     totals: Counter[str] = Counter()
-    for _, call in dataset.iter_calls():
-        if callers is not None and call.caller not in callers:
+    for caller, call_type in dataset.call_values("caller", "call_type"):
+        if callers is not None and caller not in callers:
             continue
-        totals[call.call_type] += 1
+        totals[call_type] += 1
     label = "all" if callers is None else f"{len(callers)} callers"
     return CallTypeMix(caller=label, counts=dict(totals))
 
@@ -88,9 +88,9 @@ def legitimate_vs_anomalous_mix(
     anomalous population is pure JavaScript."""
     legit = legitimate_callers(allowed_domains, survey)
     anomalous = {
-        call.caller
-        for _, call in dataset.iter_calls()
-        if call.caller not in allowed_domains and not survey.is_attested(call.caller)
+        caller
+        for caller in dataset.calling_parties()
+        if caller not in allowed_domains and not survey.is_attested(caller)
     }
     return aggregate_mix(dataset, legit), aggregate_mix(dataset, anomalous)
 

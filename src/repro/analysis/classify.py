@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 from typing import AbstractSet
 
+from repro.attestation.allowlist import GatingDecision
 from repro.crawler.dataset import Dataset
 from repro.crawler.wellknown import AttestationSurvey
 
@@ -92,10 +93,10 @@ def callers_by_status(
     moot).
     """
     grouped: dict[CallerStatus, set[str]] = {status: set() for status in CallerStatus}
-    for _, call in dataset.iter_calls():
-        if not call.allowed:
+    for caller, decision in dataset.call_values("caller", "decision"):
+        if not GatingDecision(decision).allowed:
             continue
-        grouped[classify_caller(call.caller, allowed_domains, survey)].add(call.caller)
+        grouped[classify_caller(caller, allowed_domains, survey)].add(caller)
     return grouped
 
 

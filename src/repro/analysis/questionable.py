@@ -34,9 +34,9 @@ def questionable_calls_by_cp(
     """Legitimate CP → set of sites where it called before consent."""
     legit = legitimate_callers(allowed_domains, survey)
     sites_by_cp: dict[str, set[str]] = {}
-    for record, call in d_ba.iter_calls():
-        if call.caller in legit:
-            sites_by_cp.setdefault(call.caller, set()).add(record.domain)
+    for domain, caller in d_ba.call_values("domain", "caller"):
+        if caller in legit:
+            sites_by_cp.setdefault(caller, set()).add(domain)
     return sites_by_cp
 
 
@@ -91,15 +91,18 @@ def figure6(
 
     present: dict[str, dict[Region, int]] = {c: {} for c in callers}
     called: dict[str, dict[Region, set[str]]] = {c: {} for c in callers}
-    domains = d_ba.column("domain")
-    regions = [region_of_domain(domain) for domain in domains]
-    for region, third_parties in zip(regions, d_ba.third_parties_by_row()):
-        for caller in wanted.intersection(third_parties):
-            present[caller][region] = present[caller].get(region, 0) + 1
-    for index, row_callers in d_ba.calls_by_row():
-        for caller in row_callers:
-            if caller in wanted:
-                called[caller].setdefault(regions[index], set()).add(domains[index])
+    for domain, third_parties in zip(
+        d_ba.column("domain"), d_ba.third_parties_by_row()
+    ):
+        embedded = wanted.intersection(third_parties)
+        if embedded:
+            region = region_of_domain(domain)
+            for caller in embedded:
+                present[caller][region] = present[caller].get(region, 0) + 1
+    for domain, caller in d_ba.call_values("domain", "caller"):
+        if caller in wanted:
+            region = region_of_domain(domain)
+            called[caller].setdefault(region, set()).add(domain)
 
     return [
         QuestionableByRegion(

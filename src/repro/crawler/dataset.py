@@ -25,12 +25,12 @@ import json
 from dataclasses import dataclass
 from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from repro.attestation.allowlist import GatingDecision
 from repro.browser.topics.manager import TopicsApiCall
 from repro.browser.topics.types import ApiCallType
-from repro.crawler.columnar import VisitBuffers
+from repro.crawler.columnar import CallBuffers, VisitBuffers
 from repro.util.codec import FormatError, jsonl_values
 from repro.util.fsio import atomic_write_lines
 from repro.util.timeline import Timestamp
@@ -290,6 +290,31 @@ class Dataset:
             if lo != hi:
                 yield index, values[lo:hi]
 
+    def call_values(self, *fields: str) -> Iterator[tuple]:
+        """Each call's values of ``fields``, in row order, building no records.
+
+        A field is a ``CallRecord`` field, or ``"domain"`` for the domain
+        of the row the call belongs to.
+        """
+        calls = self._buffers.calls
+        columns = []
+        for field in fields:
+            if field == "domain":
+                domains = self._buffers.domain
+                offsets = self._buffers.call_offsets
+                columns.append(
+                    [
+                        domains[index]
+                        for index, (lo, hi) in enumerate(pairwise(offsets))
+                        for _ in range(hi - lo)
+                    ]
+                )
+            elif field in CallBuffers.__slots__:
+                columns.append(getattr(calls, field))
+            else:
+                raise KeyError(f"no call field {field!r}")
+        return zip(*columns)
+
     def call_count(self) -> int:
         """Topics calls across every row."""
         return len(self._buffers.calls)
@@ -303,14 +328,21 @@ class Dataset:
         """Distinct third-party registrable domains observed."""
         return set(self._buffers.tp_flat)
 
-    def iter_calls(self) -> Iterator[tuple[VisitRecord, CallRecord]]:
-        offsets = self._buffers.call_offsets
-        for index in range(len(self._buffers)):
-            if offsets[index] == offsets[index + 1]:
+    def iter_calls(
+        self, callers: AbstractSet[str] | None = None
+    ) -> Iterator[tuple[VisitRecord, CallRecord]]:
+        """``(record, call)`` for every call, or for those by ``callers``.
+
+        Builds the records of the rows that hold such a call, and no
+        others.
+        """
+        for index, row_callers in self.calls_by_row():
+            if callers is not None and callers.isdisjoint(row_callers):
                 continue
             record = self._record_at(index)
             for call in record.calls:
-                yield record, call
+                if callers is None or call.caller in callers:
+                    yield record, call
 
     def calling_parties(self) -> set[str]:
         """Distinct CPs (caller registrable domains) across all calls."""
@@ -332,11 +364,9 @@ class Dataset:
 
     def callers_by_site_count(self) -> dict[str, int]:
         """CP → number of distinct sites where it called."""
-        domains = self._buffers.domain
         sites: dict[str, set[str]] = {}
-        for index, callers in self.calls_by_row():
-            for caller in callers:
-                sites.setdefault(caller, set()).add(domains[index])
+        for domain, caller in self.call_values("domain", "caller"):
+            sites.setdefault(caller, set()).add(domain)
         return {caller: len(site_set) for caller, site_set in sites.items()}
 
     # -- persistence ---------------------------------------------------------------

@@ -293,27 +293,29 @@ def _after_accept_subset(a: CrawlArtifacts) -> Iterator:
 )
 def _gating_decisions(a: CrawlArtifacts) -> Iterator:
     for dataset in (a.result.d_ba, a.result.d_aa):
-        for record, call in dataset.iter_calls():
+        for domain, caller, decision, topics_returned in dataset.call_values(
+            "domain", "caller", "decision", "topics_returned"
+        ):
             try:
-                decision = GatingDecision(call.decision)
+                gating = GatingDecision(decision)
             except ValueError:
                 yield fail(
-                    f"{dataset.name} call by {call.caller!r} on "
-                    f"{record.domain!r} has unknown decision {call.decision!r}",
+                    f"{dataset.name} call by {caller!r} on "
+                    f"{domain!r} has unknown decision {decision!r}",
                     dataset=dataset.name,
-                    caller=call.caller,
-                    domain=record.domain,
-                    decision=call.decision,
+                    caller=caller,
+                    domain=domain,
+                    decision=decision,
                 )
                 continue
-            if not decision.allowed and call.topics_returned != 0:
+            if not gating.allowed and topics_returned != 0:
                 yield fail(
-                    f"blocked call by {call.caller!r} on {record.domain!r} "
-                    f"returned {call.topics_returned} topics",
+                    f"blocked call by {caller!r} on {domain!r} "
+                    f"returned {topics_returned} topics",
                     dataset=dataset.name,
-                    caller=call.caller,
-                    domain=record.domain,
-                    topics_returned=call.topics_returned,
+                    caller=caller,
+                    domain=domain,
+                    topics_returned=topics_returned,
                 )
 
 
@@ -326,32 +328,28 @@ def _gating_decisions(a: CrawlArtifacts) -> Iterator:
 def _anomalous_not_allowed(a: CrawlArtifacts) -> Iterator:
     allowed = a.result.allowed_domains
     for dataset in (a.result.d_ba, a.result.d_aa):
-        for record, call in dataset.iter_calls():
+        for domain, caller, decision in dataset.call_values(
+            "domain", "caller", "decision"
+        ):
             try:
-                decision = GatingDecision(call.decision)
+                gating = GatingDecision(decision)
             except ValueError:
                 continue  # gating-decisions reports these
-            if (
-                decision is GatingDecision.ALLOWED_ENROLLED
-                and call.caller not in allowed
-            ):
+            if gating is GatingDecision.ALLOWED_ENROLLED and caller not in allowed:
                 yield fail(
-                    f"{call.caller!r} is not on the allow-list yet its call on "
-                    f"{record.domain!r} was decided allowed-enrolled",
+                    f"{caller!r} is not on the allow-list yet its call on "
+                    f"{domain!r} was decided allowed-enrolled",
                     dataset=dataset.name,
-                    caller=call.caller,
-                    domain=record.domain,
+                    caller=caller,
+                    domain=domain,
                 )
-            if (
-                decision is GatingDecision.BLOCKED_NOT_ENROLLED
-                and call.caller in allowed
-            ):
+            if gating is GatingDecision.BLOCKED_NOT_ENROLLED and caller in allowed:
                 yield fail(
-                    f"{call.caller!r} is on the allow-list yet its call on "
-                    f"{record.domain!r} was blocked as not enrolled",
+                    f"{caller!r} is on the allow-list yet its call on "
+                    f"{domain!r} was blocked as not enrolled",
                     dataset=dataset.name,
-                    caller=call.caller,
-                    domain=record.domain,
+                    caller=caller,
+                    domain=domain,
                 )
 
 
@@ -479,16 +477,18 @@ def _taxonomy_resolves(a: CrawlArtifacts) -> Iterator:
     if tree is not None and len(tree) == 0:
         yield fail("taxonomy is empty")
     for dataset in (a.result.d_ba, a.result.d_aa):
-        for record, call in dataset.iter_calls():
-            if not 0 <= call.topics_returned <= EPOCHS_PER_CALL:
+        for domain, caller, topics_returned in dataset.call_values(
+            "domain", "caller", "topics_returned"
+        ):
+            if not 0 <= topics_returned <= EPOCHS_PER_CALL:
                 yield fail(
-                    f"call by {call.caller!r} on {record.domain!r} returned "
-                    f"{call.topics_returned} topics; the API returns at most "
+                    f"call by {caller!r} on {domain!r} returned "
+                    f"{topics_returned} topics; the API returns at most "
                     f"one per epoch ({EPOCHS_PER_CALL})",
                     dataset=dataset.name,
-                    caller=call.caller,
-                    domain=record.domain,
-                    topics_returned=call.topics_returned,
+                    caller=caller,
+                    domain=domain,
+                    topics_returned=topics_returned,
                 )
 
 

@@ -166,6 +166,41 @@ class TestDataset:
         assert len(pairs) == 3
         assert all(call.site == record.domain for record, call in pairs)
 
+    def test_iter_calls_by_callers_builds_only_their_rows(self, tmp_path):
+        dataset = Dataset("D_BA")
+        dataset.add(make_record("a.com", calls=[make_call("criteo.com", "a.com")]))
+        dataset.add(make_record("b.com", calls=[make_call("taboola.com", "b.com")]))
+        dataset.to_jsonl(tmp_path / "d_ba.jsonl")
+        loaded = Dataset.from_jsonl("D_BA", tmp_path / "d_ba.jsonl")
+        pairs = list(loaded.iter_calls({"taboola.com"}))
+        assert [(r.domain, c.caller) for r, c in pairs] == [("b.com", "taboola.com")]
+        assert list(loaded._memo) == [1]
+
+    def test_column_reads_match_records(self, dataset):
+        records = dataset.records
+        for name in ("rank", "domain", "phase", "cmp", "banner_language"):
+            assert list(dataset.column(name)) == [getattr(r, name) for r in records]
+        assert [bool(flag) for flag in dataset.column("accept_clicked")] == [
+            r.accept_clicked for r in records
+        ]
+        assert [tuple(tps) for tps in dataset.third_parties_by_row()] == [
+            r.third_parties for r in records
+        ]
+        assert [(i, list(c)) for i, c in dataset.calls_by_row("caller")] == [
+            (i, [call.caller for call in r.calls])
+            for i, r in enumerate(records)
+            if r.calls
+        ]
+        assert list(dataset.call_values("domain", "caller", "at")) == [
+            (record.domain, call.caller, call.at)
+            for record, call in dataset.iter_calls()
+        ]
+        assert dataset.call_count() == 3
+        with pytest.raises(KeyError):
+            dataset.column("calls")
+        with pytest.raises(KeyError):
+            list(dataset.call_values("rank"))
+
     def test_jsonl_round_trip(self, dataset, tmp_path):
         path = tmp_path / "d_ba.jsonl"
         dataset.to_jsonl(path)
