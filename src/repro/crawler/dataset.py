@@ -12,11 +12,12 @@ Storage is columnar: a :class:`Dataset` owns a
 appends plain scalars; archives, checkpoints and the service's
 ``shard-result`` events encode their JSONL lines straight from the
 columns and decode them straight back; and the analysis and validation
-scans that walk every row read columns through :meth:`Dataset.column`,
-:meth:`Dataset.third_parties_by_row` and :meth:`Dataset.calls_by_row`.
+scans that walk every row or every call read columns through
+:meth:`Dataset.column`, :meth:`Dataset.third_parties_by_row`,
+:meth:`Dataset.calls_by_row` and :meth:`Dataset.call_values`.
 :class:`VisitRecord` objects are built lazily (memoised per row) only
 where a consumer asks for records: iteration, :meth:`Dataset.iter_calls`
-(rows with calls) and the by-domain lookups.
+(only rows holding a wanted call) and the by-domain lookups.
 """
 
 from __future__ import annotations
@@ -285,7 +286,7 @@ class Dataset:
 
     def calls_by_row(self, field: str = "caller") -> Iterator[tuple[int, Sequence]]:
         """``(row, that row's values of one call field)`` for rows with calls."""
-        values = getattr(self._buffers.calls, field)
+        values = self._call_column(field)
         for index, (lo, hi) in enumerate(pairwise(self._buffers.call_offsets)):
             if lo != hi:
                 yield index, values[lo:hi]
@@ -296,7 +297,6 @@ class Dataset:
         A field is a ``CallRecord`` field, or ``"domain"`` for the domain
         of the row the call belongs to.
         """
-        calls = self._buffers.calls
         columns = []
         for field in fields:
             if field == "domain":
@@ -309,11 +309,14 @@ class Dataset:
                         for _ in range(hi - lo)
                     ]
                 )
-            elif field in CallBuffers.__slots__:
-                columns.append(getattr(calls, field))
             else:
-                raise KeyError(f"no call field {field!r}")
+                columns.append(self._call_column(field))
         return zip(*columns)
+
+    def _call_column(self, field: str) -> Sequence:
+        if field not in CallBuffers.__slots__:
+            raise KeyError(f"no call field {field!r}")
+        return getattr(self._buffers.calls, field)
 
     def call_count(self) -> int:
         """Topics calls across every row."""
