@@ -24,10 +24,10 @@ buffers.  The JSONL codec works on the columns too:
 :meth:`VisitBuffers.iter_lines` is the one row encoder (archives,
 checkpoints, the service's ``shard-result`` events,
 ``VisitRecord.to_json``), and :meth:`VisitBuffers.append_row` checks a
-decoded line and appends it straight into the columns.  ``repro.crawler.dataset`` wraps
-these buffers in the ``Dataset`` facade, whose full-row scans read the
-columns and which materialises ``VisitRecord`` objects only for the
-rows a consumer asks for.
+decoded line and appends it straight into the columns.
+``repro.crawler.dataset`` wraps these buffers in the ``Dataset``
+facade, whose full-row scans read the columns and which materialises
+``VisitRecord`` objects only for the rows a consumer asks for.
 
 The row layout mirrors ``VisitRecord`` exactly; see
 :meth:`VisitBuffers.record_at` for the authoritative column ↔ field
