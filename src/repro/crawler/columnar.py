@@ -41,7 +41,7 @@ from itertools import pairwise, product
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from repro.util.codec import encode_line, json_type, key_defect
+from repro.util.codec import encode_line, json_type, key_defect, type_defect
 
 if TYPE_CHECKING:  # imported late at materialisation time (cycle with dataset)
     from repro.browser.topics.manager import TopicsApiCall
@@ -87,16 +87,6 @@ _STR_ONLY = frozenset((str,))
 
 #: What an ``array('q')`` column can hold.
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
-
-def _type_defect(table: tuple, data: dict, prefix: str = "") -> ValueError:
-    """The first field of ``data`` whose type ``table`` does not allow."""
-    for name, types in table:
-        if type(data[name]) not in types:
-            return ValueError(
-                f"field '{prefix}{name}' has the wrong type ({json_type(data[name])})"
-            )
-    return ValueError("a field has the wrong type")
 
 
 class CallBuffers:
@@ -304,7 +294,7 @@ class VisitBuffers:
         except KeyError:
             raise ValueError(key_defect(row.keys(), _ROW_KEYS)) from None
         if tuple(map(type, values)) not in _ROW_SIGNATURES:
-            raise _type_defect(_ROW_TYPES, row)
+            raise ValueError(type_defect(_ROW_TYPES, row))
         (
             accept_clicked,
             banner_language,
@@ -335,7 +325,7 @@ class VisitBuffers:
                 defect = key_defect(call.keys(), _CALL_KEYS)
                 raise ValueError(f"a call has {defect}") from None
             if tuple(map(type, fields)) != _CALL_SIGNATURE:
-                raise _type_defect(_CALL_TYPES, call, "calls.")
+                raise ValueError(type_defect(_CALL_TYPES, call, "calls."))
             if not (
                 _INT64_MIN <= fields[0] <= _INT64_MAX
                 and _INT64_MIN <= fields[6] <= _INT64_MAX

@@ -29,6 +29,7 @@ from repro.util.codec import (
     json_type,
     jsonl_values,
     key_defect,
+    type_defect,
 )
 from repro.util.fsio import atomic_write_lines
 from repro.util.timeline import Timestamp
@@ -75,11 +76,7 @@ class AttestationProbe:
         except KeyError:
             raise ValueError(key_defect(row.keys(), _PROBE_KEYS)) from None
         if tuple(map(type, values)) not in _PROBE_SIGNATURES:
-            for name, types in _PROBE_TYPES:
-                if type(row[name]) not in types:
-                    raise ValueError(
-                        f"field {name!r} has the wrong type ({json_type(row[name])})"
-                    )
+            raise ValueError(type_defect(_PROBE_TYPES, row))
         return cls(*values)
 
 

@@ -55,6 +55,14 @@ def json_type(value: object) -> str:
     return "object"
 
 
+def type_defect(table: tuple, data: dict, prefix: str = "") -> str:
+    """Why ``data`` does not match ``table``'s ``(field, allowed types)``."""
+    for name, types in table:
+        if type(data[name]) not in types:
+            return f"field '{prefix}{name}' has the wrong type ({json_type(data[name])})"
+    return "a field has the wrong type"
+
+
 def key_defect(found: AbstractSet[str], expected: AbstractSet[str]) -> str:
     """Why a decoded object's key set is not ``expected``."""
     missing = sorted(expected - found)
