@@ -326,9 +326,10 @@ class VisitBuffers:
                 raise ValueError(f"a call has {defect}") from None
             if tuple(map(type, fields)) != _CALL_SIGNATURE:
                 raise ValueError(type_defect(_CALL_TYPES, call, "calls."))
+            at, topics_returned = fields[0], fields[-1]  # the table's two ints
             if not (
-                _INT64_MIN <= fields[0] <= _INT64_MAX
-                and _INT64_MIN <= fields[6] <= _INT64_MAX
+                _INT64_MIN <= at <= _INT64_MAX
+                and _INT64_MIN <= topics_returned <= _INT64_MAX
             ):
                 raise ValueError("a call's integer field is out of range")
             call_values.append(fields)
