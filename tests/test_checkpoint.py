@@ -8,12 +8,13 @@ kill-and-resume story end to end.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.browser.browser import Browser, state_digest_of
-from repro.crawler.campaign import CrawlReport
+from repro.crawler.campaign import CrawlCampaign, CrawlReport
 from repro.crawler.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
@@ -111,6 +112,21 @@ class TestShardCheckpointFormat:
         checkpoint = _checkpoint_for(_browser_after_visits(tiny_world, 10))
         restored = ShardCheckpoint.from_lines(checkpoint.to_lines())
         assert restored == checkpoint
+
+    def test_rows_round_trip_and_bad_row_names_its_line(self, tiny_world):
+        rows = CrawlCampaign(tiny_world, limit=30, survey=False).run()
+        checkpoint = dataclasses.replace(
+            _checkpoint_for(_browser_after_visits(tiny_world, 10)),
+            d_ba=rows.d_ba.buffers,
+            d_aa=rows.d_aa.buffers,
+        )
+        lines = checkpoint.to_lines()
+        assert ShardCheckpoint.from_lines(lines) == checkpoint
+        record = json.loads(lines[5])
+        del record["record"]["rank"]
+        lines[5] = json.dumps(record)
+        with pytest.raises(CheckpointError, match=":6: malformed.*'rank'"):
+            ShardCheckpoint.from_lines(lines, source="ck.jsonl")
 
     def test_truncated_file_rejected(self, tiny_world):
         checkpoint = _checkpoint_for(_browser_after_visits(tiny_world, 10))
