@@ -52,15 +52,9 @@ class TestDeterminism:
         config = WorldConfig.small(300, seed=9)
         world_a = WebGenerator(config).generate()
         world_b = WebGenerator(WorldConfig.small(300, seed=9)).generate()
-        assert [s.domain for s in world_a.websites] == [
-            s.domain for s in world_b.websites
-        ]
-        assert [s.embedded for s in world_a.websites] == [
-            s.embedded for s in world_b.websites
-        ]
-        assert [s.rogue for s in world_a.websites] == [
-            s.rogue for s in world_b.websites
-        ]
+        # Full dataclass equality: every field, banner and redirect included.
+        assert world_a.websites == world_b.websites
+        assert world_a.shadow_sites == world_b.shadow_sites
 
     def test_different_seed_different_world(self):
         world_a = WebGenerator(WorldConfig.small(300, seed=1)).generate()
