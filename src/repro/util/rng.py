@@ -114,6 +114,29 @@ class RngStream:
             raise ValueError("population and weights must have equal length")
         return self._random.choices(population, weights=weights, k=1)[0]
 
+    def pick_cumulative(
+        self, population: Sequence[T], cumulative_weights: Sequence[float]
+    ) -> T:
+        """:meth:`weighted_choice` over precomputed cumulative weights.
+
+        ``random.choices`` accumulates plain weights and then takes the
+        same ``bisect(cum_weights, random() * total)`` path, so this
+        returns what ``weighted_choice(population, weights)`` would, from
+        the same single draw, without re-accumulating per call.
+        """
+        return self._random.choices(population, cum_weights=cumulative_weights)[0]
+
+    def keep_each(self, odds: Iterable[tuple[T, float]]) -> list[T]:
+        """The items of ``(item, probability)`` pairs whose coin comes up.
+
+        Equivalent to ``[item for item, p in odds if self.bernoulli(p)]``
+        for positive probabilities, draw for draw: a pair with p >= 1 is
+        kept without a draw, any other takes one ``random()``.  Callers
+        drop zero-probability pairs beforehand.
+        """
+        draw = self._random.random
+        return [item for item, p in odds if p >= 1.0 or draw() < p]
+
     def zipf_rank_weights(self, count: int, exponent: float = 1.0) -> list[float]:
         """Zipf weights for ranks 1..count: weight(r) = 1 / r**exponent."""
         if count <= 0:

@@ -1,6 +1,9 @@
 """Unit tests for the named deterministic random streams."""
 
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.util.rng import RngStream, derive_seed
 
@@ -130,3 +133,41 @@ class TestRngStream:
         shuffled = items[:]
         stream.shuffle(shuffled)
         assert sorted(shuffled) == items
+
+
+# -- table-driven helpers draw what the per-call helpers draw ------------------
+
+seeds = st.integers(0, 2**32)
+#: Probabilities in (0, inf): the keep-helper's contract (zero odds are
+#: dropped by its callers), values >= 1 included.
+probabilities = st.floats(
+    min_value=0.0, max_value=4.0, exclude_min=True, allow_nan=False
+) | st.sampled_from([1.0, 1e-300, 1.0 - 2**-53, 1e300])
+weights = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False) | st.just(0.0)
+
+
+class TestTableHelpers:
+    @given(seed=seeds, odds=st.lists(probabilities, max_size=40))
+    def test_keep_each_matches_per_pair_bernoulli(self, seed, odds):
+        pairs = [(index, probability) for index, probability in enumerate(odds)]
+        table, per_pair = RngStream(seed, "k"), RngStream(seed, "k")
+        kept = table.keep_each(pairs)
+        assert kept == [item for item, p in pairs if per_pair.bernoulli(p)]
+        assert table.random() == per_pair.random()
+
+    @given(
+        seed=seeds,
+        weight_list=st.lists(weights, min_size=1, max_size=30).filter(
+            lambda ws: sum(ws) > 0
+        ),
+        picks=st.integers(1, 5),
+    )
+    def test_pick_cumulative_matches_weighted_choice(self, seed, weight_list, picks):
+        population = [f"item-{index}" for index in range(len(weight_list))]
+        cumulative = tuple(accumulate(weight_list))
+        table, per_call = RngStream(seed, "p"), RngStream(seed, "p")
+        for _ in range(picks):
+            assert table.pick_cumulative(
+                population, cumulative
+            ) == per_call.weighted_choice(population, weight_list)
+        assert table.random() == per_call.random()
