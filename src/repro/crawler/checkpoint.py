@@ -53,6 +53,7 @@ from repro.browser.browser import state_digest_of
 from repro.crawler.campaign import CrawlReport
 from repro.crawler.columnar import VisitBuffers
 from repro.obs.metrics import MetricsSnapshot
+from repro.util.codec import json_type, key_defect, type_defect
 from repro.util.fsio import atomic_write_lines, atomic_write_text
 from repro.util.text import stable_digest
 
@@ -130,7 +131,7 @@ class ShardCheckpoint:
             raise CheckpointError(f"{source}: truncated checkpoint (header missing)")
         number = 1
         try:
-            header = json.loads(lines[0])["checkpoint"]
+            header = _checked_header(json.loads(lines[0])["checkpoint"])
             number = 2
             report = CrawlReport.from_dict(json.loads(lines[1])["report"])
             number = 3
@@ -179,6 +180,30 @@ class ShardCheckpoint:
 
 
 _RECORD_LINE_KEYS = frozenset(("dataset", "record"))
+
+#: The header's ``(field, allowed types)``, as :meth:`to_lines` writes it.
+_HEADER_TYPES = (
+    ("version", (int,)),
+    ("shard_index", (int,)),
+    ("visits_done", (int,)),
+    ("targets", (int,)),
+    ("complete", (bool,)),
+    ("clock_now", (int,)),
+    ("state_digest", (str,)),
+)
+_HEADER_KEYS = frozenset(name for name, _ in _HEADER_TYPES)
+
+
+def _checked_header(header: object) -> dict:
+    """``header`` if it has exactly the header's fields and types, else
+    ``ValueError`` naming the first defect."""
+    if type(header) is not dict:
+        raise ValueError(f"header: expected a JSON object, got {json_type(header)}")
+    if header.keys() != _HEADER_KEYS:
+        raise ValueError(f"header: {key_defect(header.keys(), _HEADER_KEYS)}")
+    if any(type(header[name]) not in types for name, types in _HEADER_TYPES):
+        raise ValueError(f"header: {type_defect(_HEADER_TYPES, header)}")
+    return header
 
 
 def campaign_fingerprint(
@@ -419,15 +444,22 @@ class PartialManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "PartialManifest":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            missing=[
-                MissingRange(
-                    shard_index=entry["shard"],
-                    from_rank=entry["from_rank"],
-                    to_rank=entry["to_rank"],
-                    error=entry["error"],
-                )
-                for entry in data["missing_ranges"]
-            ]
-        )
+        """Read a manifest; :class:`CheckpointError` naming ``path`` on
+        anything but JSON with a ``missing_ranges`` list of whole ranges."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            return cls(
+                missing=[
+                    MissingRange(
+                        shard_index=entry["shard"],
+                        from_rank=entry["from_rank"],
+                        to_rank=entry["to_rank"],
+                        error=entry["error"],
+                    )
+                    for entry in data["missing_ranges"]
+                ]
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: malformed partial manifest: {type(exc).__name__}: {exc}"
+            ) from exc

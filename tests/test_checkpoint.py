@@ -146,6 +146,32 @@ class TestShardCheckpointFormat:
         with pytest.raises(CheckpointError, match="newer"):
             ShardCheckpoint.from_lines(lines)
 
+    @pytest.mark.parametrize(
+        "defect, pattern",
+        [
+            (lambda h: h.pop("version"), "missing field 'version'"),
+            (lambda h: h.pop("state_digest"), "missing field 'state_digest'"),
+            (lambda h: h.update(version="1"), "'version' has the wrong type"),
+            (lambda h: h.update(shard_index=1.0), "'shard_index' has the wrong type"),
+            (lambda h: h.update(complete=1), "'complete' has the wrong type"),
+            (lambda h: h.update(state_digest=None), "'state_digest' has the wrong"),
+            (lambda h: h.update(extra=0), "unexpected field 'extra'"),
+        ],
+    )
+    def test_header_defect_names_line_one(self, tiny_world, defect, pattern):
+        lines = _checkpoint_for(_browser_after_visits(tiny_world, 10)).to_lines()
+        header = json.loads(lines[0])
+        defect(header["checkpoint"])
+        lines[0] = json.dumps(header)
+        with pytest.raises(CheckpointError, match=f"^ck.jsonl:1: .*{pattern}"):
+            ShardCheckpoint.from_lines(lines, source="ck.jsonl")
+
+    def test_header_not_an_object_names_line_one(self, tiny_world):
+        lines = _checkpoint_for(_browser_after_visits(tiny_world, 10)).to_lines()
+        lines[0] = json.dumps({"checkpoint": [1]})
+        with pytest.raises(CheckpointError, match="^ck.jsonl:1: .*got array"):
+            ShardCheckpoint.from_lines(lines, source="ck.jsonl")
+
     def test_tampered_state_rejected(self, tiny_world):
         checkpoint = _checkpoint_for(_browser_after_visits(tiny_world, 10))
         lines = checkpoint.to_lines()
@@ -243,6 +269,22 @@ class TestPartialManifest:
         assert sorted(loaded.missing, key=lambda m: m.from_rank) == sorted(
             manifest.missing, key=lambda m: m.from_rank
         )
+
+    @pytest.mark.parametrize(
+        "text, pattern",
+        [
+            ("{not json", "JSONDecodeError"),
+            ('{"missing_targets": 0}', "'missing_ranges'"),
+            ('{"missing_ranges": [{"shard": 0, "from_rank": 1, "to_rank": 5}]}',
+             "'error'"),
+            ('{"missing_ranges": ["0-5"]}', "TypeError"),
+        ],
+    )
+    def test_malformed_manifest_names_the_file(self, tmp_path, text, pattern):
+        path = tmp_path / "partial.json"
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match=f"partial.json: .*{pattern}"):
+            PartialManifest.load(path)
 
     def test_range_count_inclusive(self):
         assert MissingRange(0, 10, 10, "x").count == 1
