@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
 """Gate throughput regressions against a committed baseline.
 
-Reads a ``pytest-benchmark --benchmark-json`` results file, pulls each
-gated benchmark's throughput figure (``visits_per_second`` for the crawl
-plane, ``reid_users_per_second`` for the population data plane,
-``service_visits_per_second`` for the streamed crawl service) from its
-``extra_info``, and compares it against the committed baseline
-(``benchmarks/baseline_visits_per_second.json``).  A benchmark that
-drops more than the allowed fraction below its baseline fails the run;
-faster-than-baseline results are reported (and can be promoted with
-``--update`` after an intentional improvement lands).
+Reads one or more ``pytest-benchmark --benchmark-json`` results files
+(one per repeated run), pulls each gated benchmark's throughput figure
+(``visits_per_second`` for the crawl plane, ``reid_users_per_second``
+for the population data plane, ``service_visits_per_second`` for the
+streamed crawl service) from its ``extra_info``, and compares the median
+over the runs against the committed baseline
+(``benchmarks/baseline_visits_per_second.json``).  Single runs of these
+benchmarks spread by tens of percent, so one sample per metric can fail
+or pass the gate by chance; the median of several cannot as easily.  A
+benchmark whose median drops more than the allowed fraction below its
+baseline fails the run; faster-than-baseline results are reported (and
+can be promoted with ``--update`` after an intentional improvement
+lands).
 
 CI runners vary in raw speed, so the committed baseline is deliberately
 conservative and the threshold is configurable::
 
-    python scripts/check_bench_regression.py bench-results.json
+    python scripts/check_bench_regression.py run1.json run2.json run3.json
     python scripts/check_bench_regression.py bench-results.json --max-regression 0.5
-    python scripts/check_bench_regression.py bench-results.json --update
+    python scripts/check_bench_regression.py run1.json run2.json --update
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +109,24 @@ def gated_rates(results: dict) -> dict[str, float]:
     return rates
 
 
+def gated_samples(results_files: list[dict]) -> dict[str, list[float]]:
+    """``benchmark name -> throughput per run`` over several results files."""
+    samples: dict[str, list[float]] = {}
+    for results in results_files:
+        for name, rate in gated_rates(results).items():
+            samples.setdefault(name, []).append(rate)
+    return samples
+
+
+def median_and_iqr(samples: list[float]) -> tuple[float, float]:
+    """The median and interquartile range of one benchmark's runs (the
+    range is 0.0 for a single run)."""
+    if len(samples) < 2:
+        return samples[0], 0.0
+    q1, _, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return statistics.median(samples), q3 - q1
+
+
 def current_commit() -> str | None:
     """The commit being measured: ``GITHUB_SHA`` when set, else the
     repository's ``git rev-parse HEAD``; None outside a git checkout."""
@@ -124,11 +147,17 @@ def current_commit() -> str | None:
 
 
 def append_history(
-    history_path: Path, measured: dict[str, float], baseline: dict
+    history_path: Path,
+    measured: dict[str, float],
+    baseline: dict,
+    samples: dict[str, list[float]] | None = None,
 ) -> int:
     """Append one record per measured benchmark to the history file.
 
-    The whole file is rewritten atomically (read, extend, rename) via
+    ``measured`` holds each benchmark's median throughput; with
+    ``samples`` (its per-run figures) the record also carries the run
+    count and interquartile range.  The whole file is rewritten
+    atomically (read, extend, rename) via
     :func:`repro.util.fsio.atomic_write_lines`, so a crash mid-append
     can never leave a torn line for the report portal to choke on.
     Each record names the commit (:func:`current_commit`) and the Python
@@ -153,6 +182,9 @@ def append_history(
             "commit": commit,
             "python": python,
         }
+        if samples and name in samples:
+            record["samples"] = len(samples[name])
+            record["iqr"] = round(median_and_iqr(samples[name])[1], 3)
         lines.append(json.dumps(record, sort_keys=True))
     history_path.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_lines(history_path, lines)
@@ -161,7 +193,13 @@ def append_history(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("results", type=Path, help="pytest-benchmark JSON file")
+    parser.add_argument(
+        "results",
+        type=Path,
+        nargs="+",
+        help="pytest-benchmark JSON file(s), one per repeated run; "
+        "each gated benchmark is judged on its median",
+    )
     parser.add_argument(
         "--baseline",
         type=Path,
@@ -200,14 +238,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    measured = gated_rates(load_json_file(args.results, "results"))
-    if not measured:
+    samples = gated_samples([load_json_file(path, "results") for path in args.results])
+    if not samples:
         print(
             "error: no gated benchmark with a throughput figure in "
-            f"{args.results} (expected one of: {', '.join(GATED_BENCHMARKS)})",
+            f"{', '.join(map(str, args.results))} "
+            f"(expected one of: {', '.join(GATED_BENCHMARKS)})",
             file=sys.stderr,
         )
         return 2
+    measured = {name: median_and_iqr(runs)[0] for name, runs in samples.items()}
 
     if args.update:
         args.baseline.write_text(
@@ -218,7 +258,7 @@ def _run(args: argparse.Namespace) -> int:
             metric = GATED_BENCHMARKS.get(name, "visits_per_second")
             print(f"  {name}: {rate:,.0f} {metric}")
         if not args.no_history:
-            append_history(args.history, measured, measured)
+            append_history(args.history, measured, measured, samples)
             print(f"history appended: {args.history}")
         return 0
 
@@ -228,23 +268,24 @@ def _run(args: argparse.Namespace) -> int:
         remedy="Run with --update to record a fresh baseline.",
     )
     if not args.no_history:
-        appended = append_history(args.history, measured, baseline)
+        appended = append_history(args.history, measured, baseline, samples)
         print(f"history appended ({appended} record(s)): {args.history}")
     failures = []
     for name, rate in sorted(measured.items()):
         metric = GATED_BENCHMARKS.get(name, "visits_per_second")
         reference = baseline.get(name)
         if reference is None:
-            print(f"  {name}: {rate:,.0f} {metric} (no baseline; skipped)")
+            print(f"  {name}: median {rate:,.0f} {metric} (no baseline; skipped)")
             continue
         change = rate / reference - 1.0
         status = "ok"
         if change < -args.max_regression:
             status = "REGRESSION"
             failures.append(name)
+        runs = len(samples[name])
         print(
-            f"  {name}: {rate:,.0f} {metric} vs baseline "
-            f"{reference:,.0f} ({change:+.1%}) {status}"
+            f"  {name}: median {rate:,.0f} {metric} over {runs} run(s) vs "
+            f"baseline {reference:,.0f} ({change:+.1%}) {status}"
         )
 
     if failures:

@@ -254,3 +254,45 @@ class TestMultiMetricGate:
         )
         assert code == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+
+class TestMedianGate:
+    def _runs(self, tmp_path, rates):
+        paths = []
+        for index, rate in enumerate(rates):
+            run = tmp_path / f"run-{index}"
+            run.mkdir()
+            paths.append(str(_results_file(run, rate=rate)))
+        return paths
+
+    def test_one_slow_run_does_not_fail_the_median(self, gate, tmp_path):
+        code = gate.main(
+            self._runs(tmp_path, [10_000.0, 50_000.0, 52_000.0])
+            + ["--baseline", str(_baseline_file(tmp_path)), "--no-history"]
+        )
+        assert code == 0
+
+    def test_slow_median_fails(self, gate, tmp_path, capsys):
+        code = gate.main(
+            self._runs(tmp_path, [10_000.0, 11_000.0, 52_000.0])
+            + ["--baseline", str(_baseline_file(tmp_path)), "--no-history"]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "median 11,000 visits_per_second over 3 run(s)" in out
+
+    def test_history_records_median_and_iqr(self, gate, tmp_path):
+        history = tmp_path / "history.jsonl"
+        code = gate.main(
+            self._runs(tmp_path, [48_000.0, 50_000.0, 56_000.0])
+            + ["--baseline", str(_baseline_file(tmp_path)), "--history", str(history)]
+        )
+        assert code == 0
+        (record,) = [json.loads(line) for line in history.read_text().splitlines()]
+        assert record["visits_per_second"] == 50_000.0
+        assert record["samples"] == 3
+        # Inclusive quartiles of (48k, 50k, 56k): 49k and 53k.
+        assert record["iqr"] == 4_000.0
+
+    def test_median_and_iqr_of_one_run(self, gate):
+        assert gate.median_and_iqr([7.0]) == (7.0, 0.0)
