@@ -115,7 +115,7 @@ sweep-smoke:
 # batch `repro crawl`, and require the two archives to be
 # byte-identical (the same run CI's service job performs).
 serve-smoke:
-	rm -rf serve-smoke-data serve-smoke-batch
+	rm -rf serve-smoke-data serve-smoke-batch serve-smoke-watch.log
 	set -e; \
 	PYTHONPATH=src $(PY) -m repro serve --data-dir serve-smoke-data \
 		--backend serial & \
@@ -127,7 +127,13 @@ serve-smoke:
 	[ -S serve-smoke-data/service.sock ]; \
 	PYTHONPATH=src $(PY) -m repro submit --data-dir serve-smoke-data \
 		--sites 1000 --seed 1 --shards 4 --backend serial \
-		--checkpoint-every 100 --watch; \
+		--checkpoint-every 100 --watch | tee serve-smoke-watch.log; \
+	for shard in 0 1 2 3; do \
+		grep -q "shard $$shard: [0-9]* targets done" serve-smoke-watch.log \
+			|| { echo "no progress line from shard $$shard"; exit 1; }; \
+	done; \
+	grep -o 'shard [0-9]*: [0-9]* targets done' serve-smoke-watch.log \
+		| awk '$$3 > 250 { print "over-count: " $$0; bad = 1 } END { exit bad }'; \
 	PYTHONPATH=src $(PY) -m repro crawl --sites 1000 --seed 1 \
 		--shards 4 --backend serial --out serve-smoke-batch/archive \
 		--checkpoint-dir serve-smoke-batch/checkpoints \
@@ -187,4 +193,4 @@ clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +
 	rm -rf .pytest_cache .hypothesis src/repro.egg-info
 	rm -rf sweep-smoke-process sweep-smoke-serial
-	rm -rf serve-smoke-data serve-smoke-batch
+	rm -rf serve-smoke-data serve-smoke-batch serve-smoke-watch.log

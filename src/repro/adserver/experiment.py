@@ -34,10 +34,6 @@ class RegimeMetrics:
     relevance: float  # share of ads matching a true user interest
     mean_cpm: float
 
-    @property
-    def revenue_per_thousand(self) -> float:
-        return self.mean_cpm
-
 
 @dataclass(frozen=True)
 class TargetingStudyResult:

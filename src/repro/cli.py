@@ -37,6 +37,7 @@ from repro.crawler.archive import load_crawl, save_crawl
 from repro.crawler.campaign import CrawlCampaign
 from repro.crawler.checkpoint import RetryPolicy
 from repro.crawler.crawl import Crawl
+from repro.crawler.executor import plan_shards
 from repro.crawler.wellknown import probe_domain
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.paper import render_comparisons
@@ -106,7 +107,7 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     )
 
     instrument = bool(args.trace_out or args.metrics_out)
-    recording = bool(args.span_out or args.chrome_trace_out or args.progress)
+    recording = bool(args.span_out or args.chrome_trace_out)
     off = Telemetry.OFF
     telemetry = Telemetry(
         tracer=Tracer() if instrument else off.tracer,
@@ -116,6 +117,14 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     tracer, metrics, spans = telemetry.tracer, telemetry.metrics, telemetry.spans
 
     world = WebGenerator(_world_config(args)).generate()
+    tracker = None
+    if args.progress:
+        tranco = world.tranco if args.limit is None else world.tranco.top(args.limit)
+        plans = plan_shards(tranco, max(args.shards, 1))
+        sizes = {plan.shard_index: len(plan.domains) for plan in plans}
+        tracker = ProgressTracker(
+            sum(sizes.values()), shard_sizes=sizes if len(sizes) > 1 else None
+        )
     crawl = Crawl(
         world,
         checkpoint_dir=args.checkpoint_dir or None,
@@ -129,15 +138,8 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         allow_partial=args.allow_partial,
         retry_policy=RetryPolicy(max_retries=args.max_shard_retries),
         telemetry=telemetry,
+        progress=tracker,
     )
-    tracker = None
-    if args.progress:
-        sizes = {plan.shard_index: len(plan.domains) for plan in crawl.plans}
-        tracker = ProgressTracker(
-            sum(sizes.values()), shard_sizes=sizes if len(sizes) > 1 else None
-        )
-        spans.listener = tracker
-
     outcome = crawl.run()
     result = outcome.result
     partial = outcome.partial

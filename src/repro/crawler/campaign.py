@@ -60,6 +60,16 @@ class CrawlReport:
     recovered: int = 0
 
     @property
+    def completed(self) -> int:
+        """Targets done: each gets exactly one Before-Accept outcome."""
+        return self.ok + self.failed
+
+    @property
+    def visits(self) -> int:
+        """Page visits made: every target's Before-Accept, plus After-Accept."""
+        return self.ok + self.failed + self.accepted
+
+    @property
     def accept_rate(self) -> float:
         """Share of successfully visited sites that reached After-Accept."""
         return self.accepted / self.ok if self.ok else 0.0
@@ -104,6 +114,12 @@ class CrawlReport:
 
 _REPORT_FIELDS = frozenset(item.name for item in fields(CrawlReport))
 
+#: Progress hook: ``progress(shard, completed, visits)``, the shard's
+#: :attr:`CrawlReport.completed` and :attr:`CrawlReport.visits` counts.
+#: Both are absolute — a resumed or retried attempt starts from its
+#: checkpoint's report — so they never exceed the shard's size.
+ProgressFn = Callable[[int, int, int], None]
+
 
 @dataclass
 class CrawlResult:
@@ -144,7 +160,7 @@ class CrawlCampaign:
         corrupt_allowlist: bool = True,
         user_seed: int = 0,
         limit: int | None = None,
-        progress: Callable[[int, int], None] | None = None,
+        progress: ProgressFn | None = None,
         script_origin_mode: ScriptOriginMode = ScriptOriginMode.EMBEDDER,
         retries: int = 0,
         telemetry: Telemetry = Telemetry.OFF,
@@ -166,6 +182,7 @@ class CrawlCampaign:
         self._corrupt_allowlist = corrupt_allowlist
         self._user_seed = user_seed
         self._limit = limit
+        # Called once per target, as its Before-Accept leg closes.
         self._progress = progress
         self._script_origin_mode = script_origin_mode
         self._retries = retries
@@ -264,8 +281,6 @@ class CrawlCampaign:
                 # Already durable in the resumed checkpoint: the restored
                 # browser state carries these visits' full side effects.
                 continue
-            if self._progress is not None and position % 1000 == 0:
-                self._progress(position, total)
             if self._fault_hook is not None:
                 self._fault_hook(position, domain)
 
@@ -364,6 +379,8 @@ class CrawlCampaign:
                 metrics.counter("crawl_failures_total", kind=before.error)
             if recording:
                 spans.exit(at=clock.now(), ok=False, error=before.error)
+            if self._progress is not None:
+                self._progress(self._shard_index, report.completed, report.visits)
             return
         report.ok += 1
 
@@ -404,6 +421,8 @@ class CrawlCampaign:
                     accept_clicked=detection.accept_clicked,
                 )
             spans.exit(at=clock.now(), ok=True)
+        if self._progress is not None:
+            self._progress(self._shard_index, report.completed, report.visits)
 
         if not detection.accept_clicked:
             # No After-Accept visit when consent could not be granted

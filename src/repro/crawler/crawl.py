@@ -57,7 +57,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.crawler import executor
-from repro.crawler.campaign import CrawlReport, CrawlResult, attestation_targets
+from repro.crawler.campaign import (
+    CrawlReport,
+    CrawlResult,
+    ProgressFn,
+    attestation_targets,
+)
 from repro.crawler.checkpoint import (
     CheckpointStore,
     MissingRange,
@@ -134,6 +139,9 @@ class Crawl:
 
     ``plans`` is the shard layout :meth:`run` crawls: the first ``limit``
     ranked domains, split into at most ``shard_count`` contiguous slices.
+    ``progress`` hears from every in-process shard's campaign once per
+    target, and once more per shard with its final counts as the shard
+    completes — the only call a process-backend shard makes.
     """
 
     def __init__(
@@ -152,6 +160,7 @@ class Crawl:
         telemetry: Telemetry = Telemetry.OFF,
         fault_injector: FaultInjector | None = None,
         shard_listener: ShardListener | None = None,
+        progress: ProgressFn | None = None,
     ) -> None:
         if checkpoint_dir is None and (resume or allow_partial):
             raise ValueError(
@@ -172,6 +181,7 @@ class Crawl:
         self._backend = backend
         self._telemetry = telemetry
         self._shard_listener = shard_listener
+        self._progress = progress
         self._options = {
             "checkpoint_every": checkpoint_every,
             "resume": resume,
@@ -224,8 +234,7 @@ class Crawl:
         # the shard listener the moment it finishes — then the merge
         # consumes them in plan order, so the output stays byte-identical
         # however the scheduler interleaved the work.
-        process = backend.name == "process"
-        if process:
+        if backend.name == "process":
             # Process workers share nothing: each receives a picklable
             # task, rebuilds the world, and ships plain data back.
             spec = WorldSpec.of(self._world)
@@ -237,15 +246,15 @@ class Crawl:
             stream = backend.stream(run_shard_task, tasks)
         else:
             stream = backend.stream(self._run_shard, self.plans)
-        listener = self._telemetry.spans.listener
         results: list[ShardResult | None] = [None] * len(self.plans)
         for index, result in stream:
             results[index] = result
-            if process and listener is not None:
-                # Worker spans could not reach the live listener as they
-                # completed; deliver them now, batched per shard.
-                for span in result.telemetry.spans or ():
-                    listener(span)
+            if self._progress is not None:
+                # The shard's final counts: all a process worker can
+                # report, and the last target's After-Accept visit for
+                # in-process shards, whose campaigns reported live.
+                report = result.report
+                self._progress(result.shard_index, report.completed, report.visits)
             if self._shard_listener is not None and result.missing is None:
                 self._shard_listener(self.plans[index], result)
         return results  # type: ignore[return-value]  # every slot filled
@@ -258,7 +267,7 @@ class Crawl:
             self._world,
             plan,
             store=self._store,
-            span_listener=self._telemetry.spans.listener,
+            progress=self._progress,
             **self._options,
         )
 

@@ -39,7 +39,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from repro.crawler.campaign import CrawlCampaign, CrawlReport
+from repro.crawler.campaign import CrawlCampaign, CrawlReport, ProgressFn
 from repro.crawler.checkpoint import (
     CheckpointStore,
     MissingRange,
@@ -47,7 +47,7 @@ from repro.crawler.checkpoint import (
     ShardCheckpoint,
 )
 from repro.crawler.columnar import VisitBuffers
-from repro.obs import EventKind, Span, Telemetry, TelemetryExport
+from repro.obs import EventKind, Telemetry, TelemetryExport
 from repro.obs.spans import SPAN_SHARD, SPAN_SHARD_RETRY
 from repro.util.executor import contiguous_bounds
 from repro.util.text import stable_digest
@@ -183,15 +183,14 @@ def execute_shard(
     allow_partial: bool = False,
     fault_injector: FaultInjector | None = None,
     telemetry: Telemetry = Telemetry.OFF,
-    span_listener: Callable[[Span], None] | None = None,
+    progress: ProgressFn | None = None,
 ) -> ShardResult:
     """Run one shard to completion: fresh, resumed or retried.
 
     Each attempt records into a private ``telemetry.child`` so workers
-    never contend; the merge folds the exports deterministically.  The
-    child's spans go to ``span_listener`` so a live progress line keeps
-    updating from every worker thread (process workers deliver their
-    spans when the shard completes instead).
+    never contend; the merge folds the exports deterministically.  Every
+    attempt's campaign reports to ``progress`` once per target, with
+    absolute counts from its (possibly restored) report.
 
     Without a ``store`` there is nothing to resume or retry from, so the
     first failure propagates as is.  With one, the shard checkpoints
@@ -212,7 +211,7 @@ def execute_shard(
     shard_world = _ShardView(world, TrancoList(plan.domains))
     while True:
         attempt = len(retries) + 1
-        shard_telemetry = telemetry.child(plan.shard_index, span_listener)
+        shard_telemetry = telemetry.child(plan.shard_index)
         shard_telemetry.tracer.emit(
             EventKind.SHARD_STARTED,
             at=checkpoint.clock_now if checkpoint is not None else 0,
@@ -226,6 +225,7 @@ def execute_shard(
             shard_world,  # type: ignore[arg-type]  # structural stand-in
             corrupt_allowlist=corrupt_allowlist,
             user_seed=plan.shard_index,
+            progress=progress,
             telemetry=shard_telemetry,
             span_root=SPAN_SHARD,
             survey=False,
@@ -440,8 +440,8 @@ class ShardTask:
 
     ``options`` are :func:`execute_shard`'s keyword arguments apart from
     the store, which the worker reopens from ``checkpoint_dir``, and the
-    span listener, which cannot cross the process boundary; its
-    ``telemetry`` is a listener-free :meth:`~repro.obs.Telemetry.child`.
+    progress hook, which cannot cross the process boundary; its
+    ``telemetry`` is a :meth:`~repro.obs.Telemetry.child` stand-in.
     """
 
     spec: WorldSpec

@@ -16,8 +16,10 @@ package makes execution differences visible by construction:
   export for visual inspection;
 * :mod:`repro.obs.profile` — the critical-path profiler over recorded
   spans: stage breakdowns, the shard straggler report, slow visits;
-* :mod:`repro.obs.progress` — a live stderr progress line derived from
-  completed visit spans;
+* :mod:`repro.obs.progress` — a live stderr progress line fed by the
+  campaign's per-shard target and visit counts;
+* :mod:`repro.obs.bridge` — blocking delivery from crawl worker threads
+  into an asyncio loop;
 * :mod:`repro.obs.formats` — fail-closed readers for stored telemetry;
 * :mod:`repro.obs.telemetry` — :class:`Telemetry`, the one handle
   instrumented components take, and the one fold of shard telemetry.
@@ -27,12 +29,7 @@ instrumentation-off adds nothing to the hot path beyond one attribute
 check.
 """
 
-from repro.obs.bridge import (
-    BlockingLoopBridge,
-    LoopBridge,
-    VisitProgressListener,
-    fanout,
-)
+from repro.obs.bridge import BlockingLoopBridge
 from repro.obs.formats import TelemetryFormatError
 from repro.obs.metrics import (
     HistogramData,
@@ -75,7 +72,6 @@ __all__ = [
     "CampaignProfile",
     "EventKind",
     "HistogramData",
-    "LoopBridge",
     "MetricsRegistry",
     "MetricsSnapshot",
     "NULL_METRICS",
@@ -97,10 +93,8 @@ __all__ = [
     "TraceEvent",
     "TraceMeta",
     "Tracer",
-    "VisitProgressListener",
     "build_profile",
     "critical_path",
-    "fanout",
     "render_exposition",
     "stage_breakdown",
     "straggler_report",

@@ -1,74 +1,22 @@
-"""Listener → asyncio bridges: observability callbacks across threads.
+"""Thread → asyncio bridge: blocking delivery into an event loop.
 
-The crawl stack reports progress through synchronous listener callbacks
-(:class:`~repro.obs.spans.SpanRecorder` ``listener``, the resumable
-crawl's ``shard_listener``), all invoked on whatever worker thread
-produced the span.  The crawl *service* lives on an asyncio event loop
-in a different thread.  This module is the seam between the two worlds:
+The crawl stack reports through synchronous callbacks (the crawl's
+``progress`` hook and ``shard_listener``), invoked on whatever worker
+thread ran the shard.  The crawl *service* lives on an asyncio event
+loop in a different thread.  :class:`BlockingLoopBridge` is the seam
+between the two worlds: it runs a coroutine on the loop **and waits for
+it**, so the calling worker thread blocks until the loop-side consumer
+has accepted the item — which is how queue backpressure propagates all
+the way back into the crawl hot loop.
 
-* :func:`fanout` — compose several listeners into one callback;
-* :class:`LoopBridge` — forward callbacks into an event loop without
-  waiting (``call_soon_threadsafe``): fire-and-forget delivery for
-  signals that must never stall the producer;
-* :class:`BlockingLoopBridge` — run a coroutine on the loop **and wait
-  for it**: the calling worker thread blocks until the loop-side
-  consumer has accepted the item, which is how queue backpressure
-  propagates all the way back into the crawl hot loop;
-* :class:`VisitProgressListener` — a span listener that folds completed
-  ``visit`` spans into per-shard counters and invokes a throttled
-  progress callback every N visits (thread-safe, like
-  :class:`~repro.obs.progress.ProgressTracker` but for machine
-  consumers instead of a terminal).
-
-None of these import the service package — they are generic obs plumbing
+It does not import the service package — it is generic obs plumbing
 that any async front-end can reuse.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
-from typing import Any, Awaitable, Callable
-
-from repro.obs.spans import SPAN_VISIT, Span
-
-#: Phase label of the Before-Accept protocol leg (mirrors
-#: :data:`repro.crawler.dataset.PHASE_BEFORE` without importing the
-#: crawler package from ``obs``).
-_PHASE_BEFORE = "before-accept"
-
-
-def fanout(*listeners: Callable[[Any], None] | None) -> Callable[[Any], None]:
-    """One callback that invokes every non-``None`` listener in order."""
-    live = tuple(listener for listener in listeners if listener is not None)
-
-    def dispatch(item: Any) -> None:
-        for listener in live:
-            listener(item)
-
-    return dispatch
-
-
-class LoopBridge:
-    """Fire-and-forget forwarding of callbacks into an asyncio loop.
-
-    ``__call__`` may be invoked from any thread; the wrapped callback
-    runs on the loop thread in submission order.  If the loop has shut
-    down, items are silently discarded — a dying service must not crash
-    the worker threads still draining their shards.
-    """
-
-    def __init__(
-        self, loop: asyncio.AbstractEventLoop, callback: Callable[[Any], None]
-    ) -> None:
-        self._loop = loop
-        self._callback = callback
-
-    def __call__(self, item: Any) -> None:
-        try:
-            self._loop.call_soon_threadsafe(self._callback, item)
-        except RuntimeError:  # loop closed
-            pass
+from typing import Any, Awaitable
 
 
 class BlockingLoopBridge:
@@ -87,57 +35,3 @@ class BlockingLoopBridge:
     def submit(self, coroutine: Awaitable[Any]) -> Any:
         future = asyncio.run_coroutine_threadsafe(coroutine, self._loop)
         return future.result()
-
-
-class VisitProgressListener:
-    """Span listener reducing visit spans to throttled progress callbacks.
-
-    Every completed ``visit`` span bumps the per-shard counters; once a
-    shard accumulates ``every`` new Before-Accept completions, the
-    ``on_progress`` callback fires with ``(shard, completed, visits)``
-    — total Before-Accept targets done and total visits (both legs) for
-    that shard.  All state changes take a lock, so one listener instance
-    serves every worker thread of a campaign, exactly like the stderr
-    progress tracker.  Process-backend shards deliver their spans in a
-    batch at shard completion, so progress arrives per shard rather than
-    live — the callback contract is unchanged.
-    """
-
-    def __init__(
-        self,
-        on_progress: Callable[[int, int, int], None],
-        every: int = 100,
-    ) -> None:
-        if every <= 0:
-            raise ValueError("every must be positive")
-        self._on_progress = on_progress
-        self._every = every
-        self._completed: dict[int, int] = {}
-        self._visits: dict[int, int] = {}
-        self._unreported: dict[int, int] = {}
-        self._lock = threading.Lock()
-
-    def __call__(self, span: Span) -> None:
-        if span.name != SPAN_VISIT:
-            return
-        shard = int(span.fields.get("shard", 0))
-        fire: tuple[int, int, int] | None = None
-        with self._lock:
-            self._visits[shard] = self._visits.get(shard, 0) + 1
-            if span.fields.get("phase", _PHASE_BEFORE) == _PHASE_BEFORE:
-                self._completed[shard] = self._completed.get(shard, 0) + 1
-                self._unreported[shard] = self._unreported.get(shard, 0) + 1
-                if self._unreported[shard] >= self._every:
-                    self._unreported[shard] = 0
-                    fire = (
-                        shard,
-                        self._completed[shard],
-                        self._visits[shard],
-                    )
-        if fire is not None:
-            self._on_progress(*fire)
-
-    def totals(self) -> tuple[int, int]:
-        """(Before-Accept completions, total visits) across all shards."""
-        with self._lock:
-            return sum(self._completed.values()), sum(self._visits.values())

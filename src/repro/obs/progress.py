@@ -1,12 +1,11 @@
-"""Live crawl progress derived from span events.
+"""Live crawl progress: one stderr line fed by the campaign's counts.
 
-A :class:`ProgressTracker` is a :class:`~repro.obs.spans.SpanRecorder`
-listener: every completed ``visit`` span updates its counters, and at a
-bounded real-time cadence it rewrites one stderr status line —
-visits/s (real wall-clock), ETA, and per-shard completion.  Shard
-recorders inherit the campaign recorder's listener, so a sharded crawl
-reports live from every worker thread through one tracker (all state
-changes happen under a lock).
+A :class:`ProgressTracker` is a crawl ``progress`` hook: every call
+carries one shard's absolute ``(completed, visits)`` counts (see
+:data:`repro.crawler.campaign.ProgressFn`), and at a bounded real-time
+cadence it rewrites one stderr status line — visits/s (real
+wall-clock), ETA, and per-shard completion.  In-process shards call it
+from their worker threads, so every state change happens under a lock.
 
 The tracker measures *real* elapsed time (it exists for a human watching
 a terminal), but reads nothing else from the environment: the time
@@ -20,22 +19,15 @@ import threading
 import time
 from typing import Callable, TextIO
 
-from repro.obs.spans import SPAN_VISIT, Span
-
-#: Phase label of the Before-Accept protocol leg (mirrors
-#: :data:`repro.crawler.dataset.PHASE_BEFORE` without importing the
-#: crawler package from ``obs``).
-_PHASE_BEFORE = "before-accept"
-
 
 class ProgressTracker:
-    """Periodic one-line progress report over completed visit spans.
+    """Periodic one-line progress report over per-shard counts.
 
     ``targets`` is the number of ranked domains the campaign will
-    process (Before-Accept visits are the unit of completion — every
-    target gets exactly one, After-Accept visits ride along in the
-    visits/s rate).  ``shard_sizes`` maps shard index → its target count
-    for the per-shard completion column.
+    process (a target is complete once its Before-Accept visit is done;
+    After-Accept visits ride along in the visits/s rate).
+    ``shard_sizes`` maps shard index → its target count for the
+    per-shard completion column.
     """
 
     def __init__(
@@ -54,26 +46,16 @@ class ProgressTracker:
         self._started = time_fn()
         self._last_render = float("-inf")
         self._last_width = 0
-        self._visits = 0
-        self._completed = 0
         self._shard_done: dict[int, int] = {}
+        self._shard_visits: dict[int, int] = {}
         self._lines_written = 0
         self._lock = threading.Lock()
 
-    # -- listener -------------------------------------------------------------
-
-    def __call__(self, span: Span) -> None:
-        """SpanRecorder listener: account one completed span."""
-        if span.name != SPAN_VISIT:
-            return
+    def __call__(self, shard: int, completed: int, visits: int) -> None:
+        """Progress hook: record one shard's absolute counts."""
         with self._lock:
-            self._visits += 1
-            if span.fields.get("phase", _PHASE_BEFORE) == _PHASE_BEFORE:
-                self._completed += 1
-                shard = span.fields.get("shard")
-                if shard is not None:
-                    shard = int(shard)
-                    self._shard_done[shard] = self._shard_done.get(shard, 0) + 1
+            self._shard_done[shard] = completed
+            self._shard_visits[shard] = visits
             now = self._time_fn()
             if now - self._last_render >= self._min_interval:
                 self._last_render = now
@@ -83,10 +65,11 @@ class ProgressTracker:
 
     def render_line(self) -> str:
         """The current status line (no trailing newline)."""
+        completed = sum(self._shard_done.values())
         elapsed = max(self._time_fn() - self._started, 1e-9)
-        rate = self._visits / elapsed
+        rate = sum(self._shard_visits.values()) / elapsed
         if self._targets:
-            fraction = min(self._completed / self._targets, 1.0)
+            fraction = min(completed / self._targets, 1.0)
             percent = f"{fraction:.1%}"
         else:
             fraction, percent = 0.0, "?"
@@ -97,7 +80,7 @@ class ProgressTracker:
         else:
             eta = "?"
         parts = [
-            f"crawl: {self._completed:,}/{self._targets:,} sites ({percent})",
+            f"crawl: {completed:,}/{self._targets:,} sites ({percent})",
             f"{rate:,.1f} visits/s",
             f"ETA {eta}",
         ]

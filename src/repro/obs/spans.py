@@ -22,7 +22,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.obs.formats import (
     as_object,
@@ -144,10 +144,9 @@ class SpanRecorder:
     ``enter``/``exit`` maintain an explicit stack, so nesting follows
     call structure; ``record`` captures an already-bounded leaf interval
     (how the browser retro-fits per-stage spans once a visit's work mix
-    is known).  ``listener``, when set, is invoked with every completed
-    span — the live progress reporter hangs off this hook.
-    ``common_fields`` are merged into every span's fields (shard
-    recorders use this to tag their whole tree with the shard index).
+    is known).  ``common_fields`` are merged into every span's fields
+    (shard recorders use this to tag their whole tree with the shard
+    index).
     """
 
     #: Hot paths check this before building span fields.
@@ -156,7 +155,6 @@ class SpanRecorder:
     def __init__(
         self,
         capacity: int = DEFAULT_SPAN_CAPACITY,
-        listener: Callable[[Span], None] | None = None,
         common_fields: dict | None = None,
     ) -> None:
         if capacity <= 0:
@@ -165,7 +163,6 @@ class SpanRecorder:
         self._stack: list[_OpenSpan] = []
         self._next_id = 0
         self._recorded = 0
-        self.listener = listener
         self._common = dict(common_fields or {})
 
     # -- recording ------------------------------------------------------------
@@ -226,16 +223,13 @@ class SpanRecorder:
     def _finish(self, span: Span) -> None:
         self._completed.append(span)
         self._recorded += 1
-        if self.listener is not None:
-            self.listener(span)
 
     def adopt(self, span: Span, parent_id: int | None) -> int:
         """Graft a foreign (e.g. shard-local) span into this recorder.
 
         The span gets a fresh id under ``parent_id``; the caller is
         responsible for feeding parents before their children and for
-        remapping ids.  Listeners do **not** fire — grafted spans were
-        already observed live in their home recorder.
+        remapping ids.
         """
         span_id = self._next_id
         self._next_id += 1

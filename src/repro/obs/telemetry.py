@@ -2,9 +2,9 @@
 
 Every instrumented component takes one :class:`Telemetry` bundle.  Each
 handle stays independently switchable — the CLI turns tracing and
-metrics on together, the crawl service keeps metrics always and spans
-only while it streams — and defaults to its no-op instance, so
-:data:`Telemetry.OFF` costs a hot path one ``enabled`` check per handle.
+metrics on together, the crawl service keeps metrics only — and
+defaults to its no-op instance, so :data:`Telemetry.OFF` costs a hot
+path one ``enabled`` check per handle.
 
 The bundle also owns how a sharded crawl's telemetry comes together:
 :meth:`Telemetry.child` gives each shard attempt fresh private handles,
@@ -18,7 +18,7 @@ backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, MetricsSnapshot
 from repro.obs.spans import NULL_RECORDER, SPAN_CAMPAIGN, Span, SpanRecorder
@@ -57,22 +57,17 @@ class Telemetry:
     #: Every handle off: the default everywhere.
     OFF: ClassVar["Telemetry"]
 
-    def child(
-        self,
-        shard: int | None = None,
-        listener: Callable[[Span], None] | None = None,
-    ) -> "Telemetry":
+    def child(self, shard: int | None = None) -> "Telemetry":
         """Fresh private handles, live wherever this bundle's are.
 
-        Spans are tagged with ``shard`` (when given) and reported to
-        ``listener``.  A listener-free ``child()`` pickles, so it is the
-        stand-in a worker process derives its shard children from.
+        Spans are tagged with ``shard`` (when given).  A ``child()``
+        pickles, so it is the stand-in a worker process derives its
+        shard children from.
         """
         spans: SpanRecorder = NULL_RECORDER
         if self.spans.enabled:
             spans = SpanRecorder(
-                listener=listener,
-                common_fields=None if shard is None else {"shard": shard},
+                common_fields=None if shard is None else {"shard": shard}
             )
         return Telemetry(
             tracer=Tracer() if self.tracer.enabled else NULL_TRACER,

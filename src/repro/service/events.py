@@ -157,10 +157,6 @@ class EventBroker:
         """The job's full event log so far (live list — do not mutate)."""
         return self._logs.get(job_id, [])
 
-    def last_seq(self, job_id: str) -> int:
-        log = self._logs.get(job_id)
-        return log[-1].seq if log else 0
-
     async def publish(self, job_id: str, kind: str, payload: Mapping) -> ServiceEvent:
         """Append one event to the job's log and fan it out.
 

@@ -33,6 +33,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
+from repro.util.codec import FormatError, json_type, type_defect
 from repro.util.fsio import atomic_write_text
 from repro.web.config import WorldConfig
 from repro.web.vantage import vantage_by_name
@@ -100,7 +101,9 @@ class FaultSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
+    def from_dict(cls, data: object) -> "FaultSpec":
+        if type(data) is not dict:
+            raise JobSpecError(f"fault must be a JSON object, got {json_type(data)}")
         return cls(
             shard_index=int(data.get("shard_index", 0)),
             points=tuple(
@@ -134,6 +137,18 @@ _SPEC_FIELDS = frozenset(
 
 _VANTAGES = ("eu", "us", "other")
 
+#: Integer fields of a spec; the ``_OPTIONAL`` ones may also be ``None``.
+#: A JSON ``1.5`` or ``true`` is rejected, not truncated or coerced.
+_INT_FIELDS = (
+    "sites",
+    "seed",
+    "shards",
+    "checkpoint_every",
+    "max_shard_retries",
+    "progress_every",
+)
+_OPTIONAL_INT_FIELDS = ("max_workers", "limit")
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -154,6 +169,14 @@ class JobSpec:
     fault: FaultSpec | None = None
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS + _OPTIONAL_INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int and not (
+                value is None and name in _OPTIONAL_INT_FIELDS
+            ):
+                raise JobSpecError(
+                    f"{name} must be an integer, got {json_type(value)}"
+                )
         if self.sites <= 0:
             raise JobSpecError(f"sites must be positive, got {self.sites}")
         if self.shards <= 0:
@@ -219,7 +242,11 @@ class JobSpec:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "JobSpec":
+    def from_dict(cls, data: object) -> "JobSpec":
+        if type(data) is not dict:
+            raise JobSpecError(
+                f"job spec must be a JSON object, got {json_type(data)}"
+            )
         unknown = set(data) - _SPEC_FIELDS
         if unknown:
             raise JobSpecError(
@@ -260,13 +287,25 @@ class JobRecord:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "JobRecord":
+    def from_dict(cls, data: object) -> "JobRecord":
+        """The inverse of :meth:`to_dict`; ``ValueError`` on a bad record.
+
+        Only ``job_id`` is required; every field present must have its
+        JSON type.
+        """
+        if type(data) is not dict:
+            raise ValueError(f"expected a JSON object, got {json_type(data)}")
+        if "job_id" not in data:
+            raise ValueError("missing field 'job_id'")
+        present = tuple(item for item in _RECORD_TYPES if item[0] in data)
+        if any(type(data[name]) not in types for name, types in present):
+            raise ValueError(type_defect(present, data))
         return cls(
             job_id=data["job_id"],
             spec=JobSpec.from_dict(data.get("spec", {})),
             state=JobState(data.get("state", "queued")),
             error=data.get("error"),
-            resumed=int(data.get("resumed", 0)),
+            resumed=data.get("resumed", 0),
             archive_dir=data.get("archive_dir"),
             summary=dict(data.get("summary", {})),
         )
@@ -286,6 +325,17 @@ class JobRecord:
             self.spec = replace(self.spec, fault=None)
 
 
+#: (field, allowed JSON types) of a stored job record.
+_RECORD_TYPES = (
+    ("job_id", (str,)),
+    ("spec", (dict,)),
+    ("state", (str,)),
+    ("error", (str, type(None))),
+    ("resumed", (int,)),
+    ("archive_dir", (str, type(None))),
+    ("summary", (dict,)),
+)
+
 _JOB_ID_PATTERN = re.compile(r"^job-(\d{6})$")
 
 
@@ -295,8 +345,9 @@ class JobTable:
     Not thread-safe by itself — the service serialises access on its
     event loop.  Reads tolerate foreign directories (anything not
     matching ``job-NNNNNN`` is ignored) but a matching directory with a
-    corrupt record raises: silently skipping a half-written job record
-    would orphan its checkpoints forever.
+    corrupt record raises :class:`~repro.util.codec.FormatError` naming
+    its ``job.json``: silently skipping a half-written job record would
+    orphan its checkpoints forever.
     """
 
     RECORD_FILE = "job.json"
@@ -334,7 +385,10 @@ class JobTable:
         path = self.job_dir(job_id) / self.RECORD_FILE
         if not path.exists():
             raise KeyError(f"no such job: {job_id}")
-        return JobRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            return JobRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        except ValueError as exc:  # bad JSON, bad UTF-8 or a bad record
+            raise FormatError(path, None, str(exc)) from None
 
     def load_all(self) -> list[JobRecord]:
         """Every persisted job, sorted by id (= submission order)."""

@@ -43,6 +43,7 @@ from typing import Iterator
 from repro.service.events import POLICY_BLOCK, POLICIES
 from repro.service.jobs import JobRecord, JobSpec, JobSpecError
 from repro.service.service import CrawlService
+from repro.util.codec import json_type
 
 #: Cap on one request line; a campaign spec is tiny, anything bigger is abuse.
 MAX_REQUEST_BYTES = 1 << 20
@@ -128,8 +129,18 @@ class ServiceServer:
         await writer.drain()
 
     async def _dispatch(
-        self, request: dict, writer: asyncio.StreamWriter
+        self, request: object, writer: asyncio.StreamWriter
     ) -> None:
+        if type(request) is not dict:
+            await self._send(
+                writer,
+                {
+                    "ok": False,
+                    "error": f"request must be a JSON object, "
+                    f"got {json_type(request)}",
+                },
+            )
+            return
         op = request.get("op")
         try:
             if op == "ping":
@@ -173,7 +184,7 @@ class ServiceServer:
                 await self._send(
                     writer, {"ok": False, "error": f"unknown op: {op!r}"}
                 )
-        except (JobSpecError, KeyError, ValueError) as exc:
+        except (JobSpecError, KeyError, TypeError, ValueError) as exc:
             message = str(exc) if str(exc) else repr(exc)
             await self._send(writer, {"ok": False, "error": message})
 

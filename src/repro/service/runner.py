@@ -4,11 +4,13 @@
 same :class:`~repro.crawler.crawl.Crawl` the batch ``repro crawl`` path
 does, wired to three service needs:
 
-* **streaming** — a :class:`~repro.obs.bridge.VisitProgressListener`
-  turns completed visit spans into throttled ``shard-progress`` events,
-  and the crawl's ``shard_listener`` seam emits a
-  ``shard-result`` event (with the shard's rebased Before-Accept rows)
-  the moment each shard finishes, long before the merge;
+* **streaming** — the crawl's ``progress`` hook (the campaign's own
+  per-shard target and visit counts) is throttled into a
+  ``shard-progress`` event each time a shard completes another
+  ``progress_every`` targets, and the crawl's ``shard_listener`` seam
+  emits a ``shard-result`` event (with the shard's rebased
+  Before-Accept rows) the moment each shard finishes, long before the
+  merge;
 * **cancellation** — a :class:`~repro.crawler.executor.CancelFlag`
   injector polls the job's flag file between visits, so touching one
   file stops every shard on every backend with durable checkpoints
@@ -42,8 +44,7 @@ from repro.crawler.executor import (
     ShardPlan,
     ShardResult,
 )
-from repro.obs import MetricsRegistry, MetricsSnapshot, SpanRecorder, Telemetry
-from repro.obs.bridge import VisitProgressListener
+from repro.obs import MetricsRegistry, MetricsSnapshot, Telemetry
 from repro.service.events import EVENT_SHARD_PROGRESS, EVENT_SHARD_RESULT
 from repro.service.jobs import JobSpec
 
@@ -160,19 +161,25 @@ def run_job(
     for genuine failures.  ``backend``/``max_workers`` are service-level
     defaults; the spec's own values win.
     """
-    # Metrics always; spans only to drive streamed progress.
     metrics = MetricsRegistry()
-    telemetry = Telemetry(metrics=metrics)
-    shard_listener = None
+    progress = shard_listener = None
     if spec.stream_results:
-        progress = VisitProgressListener(
-            lambda shard, completed, visits: emit(
-                EVENT_SHARD_PROGRESS,
-                {"shard": shard, "completed": completed, "visits": visits},
-            ),
-            every=spec.progress_every,
-        )
-        telemetry = Telemetry(metrics=metrics, spans=SpanRecorder(listener=progress))
+        every = spec.progress_every
+        # Per shard, the most targets it has reported done: a retried
+        # attempt restarts from its checkpoint's count and must not
+        # announce the same multiple of ``every`` twice.  Each shard
+        # reports from one thread at a time, so no lock is needed.
+        high: dict[int, int] = {}
+
+        def progress(shard: int, completed: int, visits: int) -> None:
+            done = high.get(shard, 0)
+            if completed > done:
+                high[shard] = completed
+                if completed // every > done // every:
+                    emit(
+                        EVENT_SHARD_PROGRESS,
+                        {"shard": shard, "completed": completed, "visits": visits},
+                    )
 
         def shard_listener(plan: ShardPlan, result: ShardResult) -> None:
             emit(EVENT_SHARD_RESULT, shard_result_payload(plan, result))
@@ -188,9 +195,10 @@ def run_job(
         limit=spec.limit,
         resume=resume,
         retry_policy=RetryPolicy(max_retries=spec.max_shard_retries),
-        telemetry=telemetry,
+        telemetry=Telemetry(metrics=metrics),
         fault_injector=_fault_injector(spec, paths),
         shard_listener=shard_listener,
+        progress=progress,
     )
     try:
         outcome = crawl.run()

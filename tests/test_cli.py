@@ -133,11 +133,16 @@ class TestCommands:
                 "--progress",
             ]
         ) == 0
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert "crawl:" in err
+        assert "1,200/1,200 sites (100.0%)" in err
         assert "visits/s" in err
-        assert "shards 0:" in err
+        assert "shards 0:100% 1:100%" in err
         assert err.endswith("\n")
+        # Progress comes from the campaign's counts: no spans recorded,
+        # so no span profile printed.
+        assert "stage breakdown" not in captured.out
 
     def test_crawl_sharded_profile_names_straggler(self, capsys, tmp_path):
         out_dir = str(tmp_path / "campaign")

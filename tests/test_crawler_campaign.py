@@ -37,10 +37,20 @@ class TestProtocol:
 
     def test_progress_callback(self, world):
         seen = []
-        CrawlCampaign(
-            world, limit=2000, progress=lambda done, total: seen.append(done)
+        result = CrawlCampaign(
+            world, limit=300, shard_index=2, progress=lambda *call: seen.append(call)
         ).run()
-        assert seen == [1000, 2000]
+        # Once per target, as its Before-Accept leg closes: the visit
+        # count then holds every earlier target's After-Accept visit.
+        assert [completed for _shard, completed, _visits in seen] == list(
+            range(1, 301)
+        )
+        assert {shard for shard, _completed, _visits in seen} == {2}
+        report = result.report
+        assert seen[-1][2] in (report.visits, report.visits - 1)
+        assert all(
+            later[2] - earlier[2] in (1, 2) for earlier, later in zip(seen, seen[1:])
+        )
 
     def test_crawl_duration_paced(self, crawl, world):
         # ~1.5 s per visit; the paper's 50k crawl "ends after about one

@@ -27,7 +27,6 @@ from repro.obs.spans import (
     SPAN_NAVIGATE,
     SPAN_SHARD,
     SPAN_VISIT,
-    Span,
     iter_span_tree,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -74,14 +73,6 @@ class TestSpanRecorder:
         (span,) = rec.spans()
         assert (span.start, span.end) == (0.0, 2.0)
 
-    def test_listener_fires_per_completed_span(self):
-        seen = []
-        rec = SpanRecorder(listener=seen.append)
-        rec.enter("visit", at=0.0)
-        rec.record("navigate", 0.0, 1.0)
-        rec.exit(at=1.0)
-        assert [s.name for s in seen] == ["navigate", "visit"]
-
     def test_ring_buffer_drops_oldest_and_counts(self):
         rec = SpanRecorder(capacity=3)
         for index in range(7):
@@ -96,21 +87,19 @@ class TestSpanRecorder:
         with pytest.raises(ValueError):
             SpanRecorder(capacity=0)
 
-    def test_adopt_remaps_ids_and_skips_listener(self):
+    def test_adopt_remaps_ids(self):
         shard = SpanRecorder(common_fields={"shard": 0})
-        root = shard.enter("shard", at=0.0)
+        shard.enter("shard", at=0.0)
         shard.record("visit", 0.0, 1.0, domain="a.com")
         shard.exit(at=1.0)
 
-        seen = []
-        parent = SpanRecorder(listener=seen.append)
+        parent = SpanRecorder()
         campaign = parent.enter("campaign", at=0.0)
         id_map = {}
         for span in sorted(shard, key=lambda s: (s.start, s.span_id)):
             mapped_parent = id_map.get(span.parent_id, campaign)
             id_map[span.span_id] = parent.adopt(span, parent_id=mapped_parent)
         parent.exit(at=1.0)
-        assert seen == [s for s in parent.spans() if s.name == "campaign"]
         adopted = {s.name: s for s in parent.spans()}
         assert adopted["shard"].parent_id == campaign
         assert adopted["visit"].parent_id == adopted["shard"].span_id
@@ -263,25 +252,20 @@ class TestProfiler:
 
 
 class TestProgressTracker:
-    def _visit(self, shard=None, phase="before-accept") -> Span:
-        fields = {"phase": phase}
-        if shard is not None:
-            fields["shard"] = shard
-        return Span(0, None, SPAN_VISIT, 0.0, 1.0, fields)
-
     def test_counts_before_accept_visits(self):
         ticks = iter(range(100))
         tracker = ProgressTracker(
             10, stream=_Sink(), min_interval=0.0, time_fn=lambda: next(ticks)
         )
-        tracker(self._visit())
-        tracker(self._visit(phase="after-accept"))
+        tracker(0, 1, 2)  # one target done, its After-Accept visit too
         assert "1/10 sites" in tracker.render_line()
 
-    def test_ignores_non_visit_spans(self):
-        tracker = ProgressTracker(5, stream=_Sink(), time_fn=lambda: 0.0)
-        tracker(Span(0, None, SPAN_NAVIGATE, 0.0, 1.0, {}))
-        assert "0/5 sites" in tracker.render_line()
+    def test_counts_are_absolute_per_shard(self):
+        tracker = ProgressTracker(10, stream=_Sink(), time_fn=lambda: 0.0)
+        tracker(0, 3, 4)
+        tracker(1, 2, 2)
+        tracker(0, 4, 6)  # replaces shard 0's count, does not add to it
+        assert "6/10 sites" in tracker.render_line()
 
     def test_shard_columns_and_eta(self):
         clock = [0.0]
@@ -293,10 +277,11 @@ class TestProgressTracker:
             time_fn=lambda: clock[0],
         )
         clock[0] = 1.0
-        tracker(self._visit(shard=0))
-        tracker(self._visit(shard=0))
+        tracker(0, 1, 1)
+        tracker(0, 2, 3)
         line = tracker.render_line()
         assert "2/4 sites" in line
+        assert "3.0 visits/s" in line
         assert "shards 0:100% 1:0%" in line
         assert "ETA" in line
 
@@ -305,8 +290,8 @@ class TestProgressTracker:
         tracker = ProgressTracker(
             10, stream=sink, min_interval=1e9, time_fn=lambda: 0.0
         )
-        for _ in range(5):
-            tracker(self._visit())
+        for done in range(1, 6):
+            tracker(0, done, done)
         written_before = tracker.lines_written
         tracker.finish()
         assert tracker.lines_written == written_before + 1

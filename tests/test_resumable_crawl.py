@@ -14,7 +14,7 @@ import pytest
 from repro.crawler.checkpoint import CheckpointStore, RetryPolicy
 from repro.crawler.parallel import ShardedCrawl
 from repro.crawler.crawl import Crawl
-from repro.crawler.executor import ShardFailedError
+from repro.crawler.executor import CrashSchedule, ShardFailedError
 from repro.crawler.resumable import ResumableCrawl
 from repro.obs import EventKind, MetricsRegistry, SpanRecorder, Telemetry, Tracer
 from repro.obs.spans import (
@@ -268,3 +268,84 @@ class TestStorelessCrawl:
     def test_recovery_options_need_a_store(self, resume_world, option):
         with pytest.raises(ValueError, match="checkpoint_dir"):
             Crawl(resume_world, shard_count=SHARDS, **{option: True})
+
+
+PROGRESS_SITES = 400  # two shards of 200
+
+
+@pytest.fixture(scope="module")
+def progress_world():
+    return WebGenerator(WorldConfig.small(PROGRESS_SITES, seed=1)).generate()
+
+
+def _progress_crawl(world, directory, backend, **options):
+    """Run a 2-shard crawl; returns its outcome, progress calls and reports."""
+    calls: dict[int, list[tuple[int, int]]] = {}
+    reports = {}
+    outcome = Crawl(
+        world,
+        directory,
+        shard_count=2,
+        checkpoint_every=EVERY,
+        backend=backend,
+        progress=lambda shard, completed, visits: calls.setdefault(
+            shard, []
+        ).append((completed, visits)),
+        shard_listener=lambda plan, result: reports.__setitem__(
+            plan.shard_index, result.report
+        ),
+        **options,
+    ).run()
+    return outcome, calls, reports
+
+
+def _assert_final_counts(calls, reports) -> None:
+    """Each shard's last call is its full size and its report's visits."""
+    assert sorted(calls) == sorted(reports) == [0, 1]
+    for shard, report in reports.items():
+        size = PROGRESS_SITES // 2
+        assert calls[shard][-1] == (
+            size,
+            report.ok + report.failed + report.accepted,
+        )
+        assert all(completed <= size for completed, _visits in calls[shard])
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+class TestProgress:
+    """The crawl's progress hook counts targets and visits, absolutely."""
+
+    def test_retried_shard_reports_absolute_counts(
+        self, progress_world, tmp_path, backend
+    ):
+        outcome, calls, reports = _progress_crawl(
+            progress_world,
+            tmp_path,
+            backend,
+            fault_injector=CrashSchedule(0, ((1, 130),)),
+        )
+        assert len(outcome.retries) == 1
+        _assert_final_counts(calls, reports)
+        if backend == "process":
+            # Worker processes cannot call back live: one call per shard.
+            assert all(len(shard_calls) == 1 for shard_calls in calls.values())
+
+    def test_resumed_crawl_reports_absolute_counts(
+        self, progress_world, tmp_path, backend
+    ):
+        with pytest.raises(ShardFailedError):
+            _progress_crawl(
+                progress_world,
+                tmp_path,
+                backend,
+                retry_policy=RetryPolicy(max_retries=0),
+                fault_injector=CrashSchedule(0, ((1, 130),)),
+            )
+        outcome, calls, reports = _progress_crawl(
+            progress_world, tmp_path, backend, resume=True
+        )
+        assert 0 in outcome.resumed_shards
+        _assert_final_counts(calls, reports)
+        # Shard 0 resumed from its checkpoint at 100: it counts on from
+        # there, not from zero.
+        assert min(completed for completed, _visits in calls[0]) > 100

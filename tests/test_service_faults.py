@@ -26,9 +26,11 @@ from repro.service import (
     EVENT_JOB_STARTED,
     EVENT_SHARD_PROGRESS,
     FaultSpec,
+    JobPaths,
     JobSpec,
     JobState,
     JobTable,
+    run_job,
 )
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -163,6 +165,52 @@ class TestKillAndRestart:
         record = asyncio.run(run())
         assert record.state is JobState.DONE
         assert_archives_identical(Path(record.archive_dir), batch_archive)
+
+
+def _progress_payloads(root: Path, backend: str, fault=None) -> list[dict]:
+    """``shard-progress`` payloads of a 2-shard, 400-site job, by shard."""
+    spec = JobSpec(
+        sites=400,
+        seed=1,
+        shards=2,
+        checkpoint_every=50,
+        progress_every=50,
+        backend=backend,
+        fault=fault,
+    )
+    payloads: list[dict] = []
+
+    def emit(kind, payload) -> None:
+        if kind == EVENT_SHARD_PROGRESS:
+            payloads.append(dict(payload))
+
+    world = WebGenerator(spec.world_config()).generate()
+    run_job(spec, JobPaths(root), world, emit, resume=False)
+    return sorted(payloads, key=lambda p: (p["shard"], p["completed"]))
+
+
+class TestProgressEvents:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_retried_shard_streams_the_clean_runs_progress(
+        self, backend, tmp_path
+    ):
+        """A shard retried from its checkpoint neither repeats nor
+        inflates ``shard-progress``: the events match a clean run's."""
+        clean = _progress_payloads(tmp_path / "clean", backend)
+        retried = _progress_payloads(
+            tmp_path / "retried",
+            backend,
+            FaultSpec(shard_index=0, points=((1, 130),)),
+        )
+        assert retried == clean
+        completed = [(p["shard"], p["completed"]) for p in clean]
+        if backend == "process":
+            # Worker processes report once, as the shard completes.
+            assert completed == [(0, 200), (1, 200)]
+        else:
+            assert completed == [
+                (shard, done) for shard in (0, 1) for done in (50, 100, 150, 200)
+            ]
 
 
 class TestCancellation:

@@ -9,6 +9,8 @@ would.
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import threading
 from pathlib import Path
 
@@ -62,6 +64,18 @@ class ServiceHarness:
         await server.start()
         self._ready.set()
         await server.serve_until_shutdown()
+
+
+def _raw_request(socket_path: Path, line: bytes) -> dict:
+    """Send one raw request line; return the decoded reply line."""
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30)
+        sock.connect(str(socket_path))
+        sock.sendall(line + b"\n")
+        with sock.makefile("r", encoding="utf-8") as stream:
+            reply = stream.readline()
+    assert reply, "the server closed the connection without a reply"
+    return json.loads(reply)
 
 
 @pytest.fixture
@@ -137,6 +151,24 @@ class TestRoundTrips:
             client._request({"op": "frobnicate"})
         with pytest.raises(ServiceClientError, match="policy"):
             list(client.watch("job-000001", policy="mystery"))
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            (b"[1]", "request must be a JSON object, got array"),
+            (b'"x"', "request must be a JSON object, got string"),
+            (b'{"op": "submit", "spec": [1]}', "job spec must be a JSON object"),
+            (b'{"op": "submit", "spec": ["sites"]}', "job spec must be a JSON object"),
+            (b'{"op": "watch", "job_id": "job-000001", "since": [1]}', "int()"),
+        ],
+        ids=["array", "string", "array-spec", "name-list-spec", "array-since"],
+    )
+    def test_malformed_requests_get_an_error_reply(self, harness, line, error):
+        reply = _raw_request(harness.socket_path, line)
+        assert reply["ok"] is False
+        assert error in reply["error"]
+        # The server is still serving.
+        assert ServiceClient(harness.socket_path).ping()
 
     def test_cancel_over_the_socket(self, harness):
         client = ServiceClient(harness.socket_path)
