@@ -12,6 +12,7 @@ from repro.browser.browser import Browser
 from repro.browser.context import root_context_for
 from repro.browser.topics.api import TopicsApi
 from repro.crawler.campaign import CrawlCampaign
+from repro.crawler.crawl import Crawl
 from repro.obs import MetricsRegistry, SpanRecorder, Telemetry, Tracer
 from repro.util.urls import https
 from repro.web.generator import WebGenerator
@@ -42,6 +43,40 @@ def test_crawl_throughput(benchmark, world):
         f"(paper: 50k sites in about one day of wall-clock crawling)",
     )
     assert result.report.ok > 0
+
+
+def test_crawl_throughput_cold(benchmark):
+    """A cold 4-shard crawl against a warm replay of the same world.
+
+    A fresh world has no compiled visit plans, so the timed crawl pays
+    every plan compile, as each CLI run and each ``paper-study``
+    operation does; the replay that follows reuses them all.  The
+    ``cold_warm_ratio`` in ``extra_info`` is how much plan compilation
+    costs on top of replay; it is reported, not gated.
+    """
+    world = WebGenerator(bench_config(seed=3)).generate()
+    crawl = Crawl(world, shard_count=4, backend="serial")
+    result = benchmark.pedantic(crawl.run, rounds=1, iterations=1).result
+    cold_seconds = benchmark.stats.stats.total
+
+    warm_started = time.perf_counter()
+    warm = crawl.run().result
+    warm_seconds = time.perf_counter() - warm_started
+
+    ratio = cold_seconds / warm_seconds if warm_seconds else 0.0
+    visits = result.report.ok + result.report.failed + result.report.accepted
+    benchmark.extra_info["visits"] = visits
+    benchmark.extra_info["cold_seconds"] = cold_seconds
+    benchmark.extra_info["warm_seconds"] = warm_seconds
+    benchmark.extra_info["cold_warm_ratio"] = ratio
+    show(
+        "Crawl throughput, cold vs warm plans",
+        f"{visits} visits over {len(world.websites):,} sites: cold "
+        f"{cold_seconds:.2f}s, warm replay {warm_seconds:.2f}s "
+        f"(cold/warm {ratio:.2f}x)",
+    )
+    assert result.report.ok > 0
+    assert warm.d_ba.records == result.d_ba.records
 
 
 def test_crawl_throughput_instrumented(benchmark, world):

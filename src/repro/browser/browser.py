@@ -29,9 +29,9 @@ from repro.browser.topics.selection import EpochTopicsSelector
 from repro.obs import EventKind, Telemetry
 from repro.obs.spans import SPAN_NAVIGATE, SPAN_SCRIPT_EXEC, SPAN_TOPICS_CALL
 from repro.taxonomy.classifier import SiteClassifier
-from repro.util.psl import etld_plus_one
 from repro.util.text import stable_digest
 from repro.util.timeline import SimClock
+from repro.util.urls import hosts_of
 from repro.web.banner import ConsentBanner
 
 if TYPE_CHECKING:
@@ -60,8 +60,9 @@ class VisitOutcome:
     final_url: str = ""
     consent_granted: bool = False
     banner: ConsentBanner | None = None
-    #: every host the visit contacted, sorted
-    loaded_hosts: tuple[str, ...] = ()
+    #: every URL the visit fetched: its plan's, then the endpoint of each
+    #: conditional call that fired
+    fetched_urls: tuple[str, ...] = ()
     #: registrable domains of the third parties the visit loaded, sorted
     third_parties: tuple[str, ...] = ()
     #: the CMP detected from the loaded hosts (Wappalyzer-style)
@@ -71,6 +72,11 @@ class VisitOutcome:
     @property
     def redirected(self) -> bool:
         return self.ok and self.final_domain != self.requested_domain
+
+    @property
+    def loaded_hosts(self) -> tuple[str, ...]:
+        """Every host the visit contacted, sorted."""
+        return hosts_of(self.fetched_urls)
 
     @property
     def third_party_domains(self) -> frozenset[str]:
@@ -421,7 +427,7 @@ class Browser:
         manager.record_page_visit(page_domain, now)
         call_mark = manager.call_count
         enabled = manager.topics_enabled
-        fired_hosts: set[str] | None = set() if plan.conditional else None
+        fired_urls: list[str] | None = [] if plan.conditional else None
 
         for op in plan.ops:
             if op.impression_host is not None:
@@ -434,9 +440,10 @@ class Browser:
                     continue
                 # A fired conditional call fetches its endpoint whether or
                 # not the API itself is enabled (the fetch precedes the
-                # call).
+                # call).  Its registrable domain is its caller's, which the
+                # plan already loads: third parties and CMP stay the plan's.
                 self._cache._entries.add(call.fetch_url)
-                fired_hosts.add(call.fetch_host)
+                fired_urls.append(call.fetch_url)
             if not enabled:
                 # Every attempt raises before mutating any state; ad tags
                 # swallow it, rogue loops bail out.
@@ -456,24 +463,6 @@ class Browser:
                     )
 
         calls = tuple(manager.drain_calls_since(call_mark))
-        if fired_hosts:
-            loaded_hosts = tuple(sorted(fired_hosts.union(plan.loaded_hosts)))
-            third = set(plan.third_parties)
-            for host in fired_hosts:
-                registrable = etld_plus_one(host)
-                if registrable != page_domain:
-                    third.add(registrable)
-            third_parties = tuple(sorted(third))
-            cmp_name = (
-                self._world.cmps.detect_from_domains(loaded_hosts)
-                if plan.cmp_rescan
-                else plan.cmp
-            )
-        else:
-            loaded_hosts = plan.loaded_hosts
-            third_parties = plan.third_parties
-            cmp_name = plan.cmp
-
         if self._spans.enabled:
             self._record_stage_spans(
                 domain, load_seconds, plan.fetches, plan.scripts_run, calls, redirected
@@ -488,7 +477,7 @@ class Browser:
                 ok=True,
                 final_domain=page_domain,
                 consent_granted=consent_granted,
-                third_parties=len(third_parties),
+                third_parties=len(plan.third_parties),
                 topics_calls=len(calls),
                 load_seconds=load_seconds,
             )
@@ -500,8 +489,10 @@ class Browser:
             final_url=plan.final_url,
             consent_granted=consent_granted,
             banner=plan.banner,
-            loaded_hosts=loaded_hosts,
-            third_parties=third_parties,
-            detected_cmp=cmp_name,
+            fetched_urls=(
+                plan.cache_urls + tuple(fired_urls) if fired_urls else plan.cache_urls
+            ),
+            third_parties=plan.third_parties,
+            detected_cmp=plan.cmp,
             topics_calls=calls,
         )

@@ -10,16 +10,28 @@ the shard inner loop, so :meth:`Browser.visit` replays compiled plans.
 A :class:`VisitPlanner` compiles each (domain, consent) variant **once**,
 on the first visit that needs it, into a :class:`SitePlan`:
 
-* the static fetch surface — URL strings for the browser cache, the
-  sorted loaded hosts and the sorted third-party registrable domains,
-  shared by every visit instead of rebuilt per visit — plus the fetch
-  and script-execution counts the visit's stage spans are carved from;
-* the pre-detected CMP name (Wappalyzer-style detection over the static
-  host set — the batched topic-classification/allow-list sibling checks
-  happen inside the manager, which the plan still calls per visit);
+* the static fetch surface — the deduplicated URL strings for the
+  browser cache and the sorted third-party registrable domains, shared
+  by every visit instead of rebuilt per visit — plus the fetch and
+  script-execution counts the visit's stage spans are carved from.
+  Loaded hosts are not stored: every host a plan contacts is the host
+  of a URL it fetches, so :attr:`SitePlan.loaded_hosts` derives them;
+* the pre-detected CMP name (Wappalyzer-style detection over the
+  page's registrable domains — the batched topic-classification/
+  allow-list sibling checks happen inside the manager, which the plan
+  still calls per visit);
 * an ordered op list for the state-mutating work that must run per
   visit: cookie-tracking impressions and Topics API invocations, with
   caller host / call type / repeat count resolved ahead of time.
+
+The compile reads per-party tables the planner fills once per party: a
+plain party (not consent-gated, not an ad, not the tag manager) is one
+``domain → script URL`` lookup; the others keep an :class:`_Embed` whose
+ad ops are interned by (call type, count, conditional), so every plan
+shares at most 12 op objects per calling party.  Per-(party, site)
+decisions stay per variant: each is one SHA-256 over its digest inputs
+(:class:`repro.web.thirdparty.TopicsPolicy`), and the two consent
+variants of a site rarely repeat one.
 
 Variants compile independently: the crawl visits every reachable domain
 Before-Accept but only the accepted ones After-Accept, so an After-Accept
@@ -30,26 +42,34 @@ allow-list gating, epoch topic selection and the clock all flow through
 the manager/tracker entry points in page order at visit time.  The only
 time-dependent decision — an alternating A/B policy's ON/OFF window
 (doubleclick.net, criteo.com) — stays dynamic: such ops carry their
-policy and are re-evaluated against the visit clock.  Instrumented and
-bare browsers replay the same plans; telemetry only reads what the
-replay did (the metamorphic harness's instrumentation-transparency
-relation pins the datasets equal).
+policy and are re-evaluated against the visit clock.  A fired call adds
+only its endpoint URL to the visit: its registrable domain is its
+caller's, whose tag the plan already loads, so the third parties and
+the CMP verdict never change.  Instrumented and bare browsers replay
+the same plans; telemetry only reads what the replay did (the
+metamorphic harness's instrumentation-transparency relation pins the
+datasets equal).
+
+``tests/plan_walk.py`` keeps the reference page walk that materialises
+each page and walks its tags; ``tests/test_visit_plan.py`` pins the
+compile equal to it for every site of a generated world.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.browser.context import ScriptOriginMode
 from repro.browser.topics.types import ApiCallType
 from repro.util.psl import etld_plus_one
-from repro.web.page import ScriptKind, ScriptTag
+from repro.util.urls import hosts_of
 from repro.web.site import SCRIPT_PATHS, RogueVariant
 from repro.web.thirdparty import GTM_DOMAIN, ThirdPartyCategory, TopicsPolicy
 
 if TYPE_CHECKING:
     from repro.web.banner import ConsentBanner
+    from repro.web.config import WorldConfig
     from repro.web.generator import SyntheticWeb
     from repro.web.site import Website
     from repro.web.thirdparty import ThirdParty
@@ -59,6 +79,26 @@ _GTM_URL = f"https://{_GTM_HOST}/gtm.js?id=GTM-XXXX"
 _LIB_DOMAIN = "adwidgets-lib.com"
 _LIB_HOST = f"cdn.{_LIB_DOMAIN}"
 _LIB_URL = f"https://{_LIB_HOST}/widget/loader.js"
+
+#: call type -> (endpoint host label, endpoint path) of an ad call
+_CALL_ENDPOINTS: dict[ApiCallType, tuple[str, str]] = {
+    ApiCallType.JAVASCRIPT: ("frame", "/topics.html"),
+    ApiCallType.FETCH: ("bid", "/topics/bid"),
+    ApiCallType.IFRAME: ("ads", "/render/ad.html"),
+}
+
+
+def environment_multiplier(site: "Website", config: "WorldConfig") -> float:
+    """How the visited site's consent setup modulates pre-consent ad
+    calls: no banner → no consent string, services stay mostly
+    conservative; a leaky CMP mis-signals consent and services trust
+    it; a home-grown non-gating banner sits in between."""
+    banner = site.banner
+    if banner is None:
+        return config.questionable_multiplier_no_banner
+    if banner.cmp is not None and not banner.gates_before_consent:
+        return config.questionable_multiplier_leaky_cmp
+    return config.questionable_multiplier_custom_banner
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,8 +120,6 @@ class PlannedCall:
     count: int
     javascript: bool
     fetch_url: str | None = None
-    fetch_host: str | None = None
-    fetch_registrable: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,8 +163,6 @@ class SitePlan:
     #: every URL the visit fetches (deduplicated) — bulk-inserted into
     #: the browser cache
     cache_urls: tuple[str, ...]
-    #: every host the visit contacts, sorted
-    loaded_hosts: tuple[str, ...]
     #: registrable domains of the loaded hosts other than the page's, sorted
     third_parties: tuple[str, ...]
     ops: tuple[PlannedOp, ...]
@@ -137,24 +173,59 @@ class SitePlan:
     scripts_run: int
     #: True when any op carries an alternating policy (per-visit re-check)
     conditional: bool = False
-    #: True when a fired conditional host could flip CMP detection (never
-    #: in the shipped catalogue; kept for correctness with custom worlds)
-    cmp_rescan: bool = False
+
+    @property
+    def loaded_hosts(self) -> tuple[str, ...]:
+        """Every host the visit contacts, sorted (those of ``cache_urls``)."""
+        return hosts_of(self.cache_urls)
 
 
 @dataclass(frozen=True, slots=True)
 class _Embed:
-    """A third party's site-independent facts, resolved once per planner."""
+    """A consent-gated, ad or tag-manager party's site-independent facts,
+    resolved once per planner."""
 
+    domain: str
     #: the catalogue entry when its tag waits for consent, else None
     gated_service: "ThirdParty | None"
     tag_manager: bool
     ads: bool
-    host: str
     url: str
     policy: TopicsPolicy | None
     #: the op of an ad tag that loads but does not call (shared)
     impression: PlannedOp
+    #: interned call ops, keyed by (call type, count, conditional)
+    call_ops: dict[tuple[ApiCallType, int, bool], PlannedOp] = field(
+        default_factory=dict
+    )
+
+    def call_op(self, page_domain: str, conditional: bool) -> PlannedOp:
+        """The op of this party's ad tag calling on ``page_domain``."""
+        policy = self.policy
+        call_type = policy.pick_call_type(self.domain, page_domain)
+        count = policy.calls_on_page(self.domain, page_domain)
+        key = (call_type, count, conditional)
+        op = self.call_ops.get(key)
+        if op is None:
+            label, path = _CALL_ENDPOINTS[call_type]
+            host = f"{label}.{self.domain}"
+            call = PlannedCall(
+                caller_host=host,
+                call_type=call_type,
+                count=count,
+                javascript=call_type is ApiCallType.JAVASCRIPT,
+                fetch_url=f"https://{host}{path}",
+            )
+            op = self.call_ops.setdefault(
+                key,
+                PlannedOp(
+                    impression_host=self.impression.impression_host,
+                    call=call,
+                    policy=policy if conditional else None,
+                    caller=self.domain if conditional else "",
+                ),
+            )
+        return op
 
 
 class VisitPlanner:
@@ -170,6 +241,8 @@ class VisitPlanner:
         self._world = world
         self._mode = mode
         self._plans: dict[tuple[str, bool], SitePlan] = {}
+        #: plain party domain -> its script URL
+        self._plain: dict[str, str] = {}
         self._embeds: dict[str, _Embed] = {}
 
     def plan_for(self, domain: str, consent_granted: bool) -> SitePlan:
@@ -187,14 +260,11 @@ class VisitPlanner:
             plan = self._plans.setdefault(key, self._compile(domain, consent_granted))
         return plan
 
-    # -- direct compilation (the hot path) -------------------------------------
-    #
     # ``_compile_final`` goes straight from ``Website`` fields to one
     # SitePlan without materialising PageModel/ScriptTag/Url objects — it
-    # mirrors ``Website.build_page`` plus the page walk in ``_build`` tag
-    # for tag.  ``_build`` below stays as the reference implementation;
-    # ``tests/test_visit_plan.py`` pins compile ≡ walk for every site of a
-    # generated world, so the two cannot drift silently.
+    # mirrors ``Website.build_page`` plus the reference page walk in
+    # ``tests/plan_walk.py`` tag for tag; ``tests/test_visit_plan.py``
+    # pins compile ≡ walk for every site of a generated world.
 
     def _compile(self, domain: str, consent: bool) -> SitePlan:
         world = self._world
@@ -216,31 +286,37 @@ class VisitPlanner:
             target = self._compile_final(final, consent)
         return replace(target, url=f"https://www.{site.domain}/")
 
-    def _embed(self, tp_domain: str) -> _Embed:
+    def _add_party(self, tp_domain: str) -> str | None:
+        """Record a first-seen party; its script URL if it is plain."""
         world = self._world
         service = world.third_parties.get(tp_domain)
         category = service.category if service else ThirdPartyCategory.WIDGET
         host = f"static.{tp_domain}"
-        return self._embeds.setdefault(
+        url = f"https://{host}{SCRIPT_PATHS[category]}"
+        gated = service if service and service.consent_gated else None
+        tag_manager = category is ThirdPartyCategory.TAG_MANAGER
+        ads = category is ThirdPartyCategory.ADS
+        if gated is None and not tag_manager and not ads:
+            return self._plain.setdefault(tp_domain, url)
+        self._embeds.setdefault(
             tp_domain,
             _Embed(
-                gated_service=service if service and service.consent_gated else None,
-                tag_manager=category is ThirdPartyCategory.TAG_MANAGER,
-                ads=category is ThirdPartyCategory.ADS,
-                host=host,
-                url=f"https://{host}{SCRIPT_PATHS[category]}",
+                domain=tp_domain,
+                gated_service=gated,
+                tag_manager=tag_manager,
+                ads=ads,
+                url=url,
                 policy=world.policy_of(tp_domain),
                 impression=PlannedOp(impression_host=host),
             ),
         )
+        return None
 
     def _compile_final(self, site: "Website", consent: bool) -> SitePlan:
-        # Registrable domains are tracked alongside hosts instead of being
-        # re-derived per host at assembly: every host the compiler emits
+        # Registrable domains are tracked alongside URLs instead of being
+        # re-derived per host at assembly: every URL the compiler emits
         # has a known eTLD+1 by construction (``static.{tp}`` → ``tp``,
         # ``www.{d}`` → ``d``, …); only rogue frame hosts need a lookup.
-        # The compile ≡ page-walk test pins this against ``_build``, which
-        # still derives everything through ``etld_plus_one``.
         world = self._world
         page_domain = site.domain
         page_host = f"www.{page_domain}"
@@ -251,28 +327,34 @@ class VisitPlanner:
         script_url_mode = self._mode is ScriptOriginMode.SCRIPT_URL
 
         urls = [page_url, f"{page_url}static/site.css", f"{page_url}static/logo.png"]
-        hosts = {page_host}
         regs = {page_domain}
         ops: list[PlannedOp] = []
         scripts = frames = 0
         conditional = False
         enforce = site.gates_before_consent
-        multiplier = None if consent else self._environment_multiplier(page_domain)
+        #: computed on the first Before-Accept ad decision that needs it
+        multiplier: float | None = None
 
         if banner is not None and banner.cmp is not None:
             cmp_domain = world.cmp_domain(banner.cmp)
-            cmp_host = f"cdn.{cmp_domain}"
-            urls.append(f"https://{cmp_host}/cmp/stub.js")
-            hosts.add(cmp_host)
+            urls.append(f"https://cdn.{cmp_domain}/cmp/stub.js")
             regs.add(cmp_domain)
             scripts += 1
 
+        plain = self._plain
         embeds = self._embeds
         for tp_domain in site.embedded:
-            embed = embeds.get(tp_domain) or self._embed(tp_domain)
+            url = plain.get(tp_domain)
+            if url is None and tp_domain not in embeds:
+                url = self._add_party(tp_domain)
+            if url is not None:
+                urls.append(url)
+                regs.add(tp_domain)
+                scripts += 1
+                continue
+            embed = embeds[tp_domain]
             if embed.tag_manager:
                 urls.append(_GTM_URL)
-                hosts.add(_GTM_HOST)
                 regs.add(GTM_DOMAIN)
                 scripts += 1
                 if (
@@ -292,7 +374,6 @@ class VisitPlanner:
             ):
                 continue  # the tag waits for consent
             urls.append(embed.url)
-            hosts.add(embed.host)
             regs.add(tp_domain)
             scripts += 1
             if not embed.ads:
@@ -304,35 +385,29 @@ class VisitPlanner:
             if consent and policy.alternating_period is not None:
                 # The ON/OFF window depends on the visit clock: bake the
                 # call shape, defer the fire decision.
-                ops.append(
-                    PlannedOp(
-                        impression_host=embed.host,
-                        call=self._planned_ad_call(policy, tp_domain, page_domain),
-                        policy=policy,
-                        caller=tp_domain,
-                    )
-                )
+                ops.append(embed.call_op(page_domain, True))
                 conditional = True
                 continue
             if consent:
                 # now is unused for non-alternating policies (window="static")
                 fires = policy.is_enabled(tp_domain, page_domain, 0)
-            else:
+            elif policy.calls_before_consent:
+                if multiplier is None:
+                    multiplier = environment_multiplier(site, world.config)
                 fires = policy.calls_in_before_accept(
                     tp_domain, page_domain, multiplier
                 )
+            else:
+                fires = False
             if not fires:
                 ops.append(embed.impression)
                 continue
-            call = self._planned_ad_call(policy, tp_domain, page_domain)
-            urls.append(call.fetch_url)
-            hosts.add(call.fetch_host)
-            regs.add(tp_domain)
-            ops.append(PlannedOp(impression_host=embed.host, call=call))
+            op = embed.call_op(page_domain, False)
+            urls.append(op.call.fetch_url)
+            ops.append(op)
 
         if rogue is not None and rogue.variant is RogueVariant.ROOT_LIB:
             urls.append(_LIB_URL)
-            hosts.add(_LIB_HOST)
             regs.add(_LIB_DOMAIN)
             scripts += 1
             if rogue_fires:
@@ -345,7 +420,6 @@ class VisitPlanner:
             frame_host = rogue.caller_host
             urls.append(f"https://{frame_host}/embed/frame.html")
             urls.append(f"https://{frame_host}/embed/inner.js")
-            hosts.add(frame_host)
             regs.add(etld_plus_one(frame_host))
             frames += 1
             scripts += 1
@@ -354,16 +428,8 @@ class VisitPlanner:
                 # inner tag's src host equals the frame's.
                 ops.append(_rogue_op(frame_host, rogue.call_count))
 
-        third_parties = regs - {page_domain}
-        cmps = world.cmps
-        cmp_name = cmps.detect_from_registrables(regs)
-        cmp_rescan = False
-        if conditional:
-            with_fired = set(regs)
-            for op in ops:
-                if op.policy is not None and op.call is not None:
-                    with_fired.add(op.caller)
-            cmp_rescan = cmps.detect_from_registrables(with_fired) != cmp_name
+        cmp_name = world.cmps.detect_from_registrables(regs)
+        regs.discard(page_domain)
         return SitePlan(
             page_domain=page_domain,
             url=page_url,
@@ -371,225 +437,10 @@ class VisitPlanner:
             banner=banner,
             cmp=cmp_name,
             cache_urls=tuple(dict.fromkeys(urls)),
-            loaded_hosts=tuple(sorted(hosts)),
-            third_parties=tuple(sorted(third_parties)),
+            third_parties=tuple(sorted(regs)),
             ops=tuple(ops),
             # the page and its two resources, then one fetch per tag
             fetches=3 + frames + scripts,
             scripts_run=scripts,
             conditional=conditional,
-            cmp_rescan=cmp_rescan,
         )
-
-    # -- reference builder (page walk) -----------------------------------------
-
-    def _build(self, domain: str, consent: bool) -> SitePlan:
-        world = self._world
-        site = world.site(domain)
-        final_site = site
-        if site.redirect_to is not None:
-            final_site = world.site(site.redirect_to)
-        page = final_site.build_page(world)
-        page_domain = final_site.domain
-
-        urls: list[str] = [str(page.url)]
-        hosts: set[str] = {page.url.host}
-        ops: list[PlannedOp] = []
-        fetches = 1
-        scripts = 0
-        conditional = False
-
-        for resource in page.resources:
-            if resource.gated and not consent:
-                continue
-            urls.append(str(resource.src))
-            hosts.add(resource.src.host)
-            fetches += 1
-
-        for tag in page.scripts:
-            if tag.gated and not consent:
-                continue
-            urls.append(str(tag.src))
-            hosts.add(tag.src.host)
-            scripts += 1
-            conditional |= self._plan_script(
-                tag, page_domain, page.url.host, consent, ops, urls, hosts
-            )
-
-        for frame in page.iframes:
-            if frame.gated and not consent:
-                continue
-            urls.append(str(frame.src))
-            hosts.add(frame.src.host)
-            fetches += 1
-            if frame.browsingtopics_attr:
-                ops.append(
-                    PlannedOp(
-                        call=PlannedCall(
-                            caller_host=frame.src.host,
-                            call_type=ApiCallType.IFRAME,
-                            count=1,
-                            javascript=False,
-                        )
-                    )
-                )
-            for inner in frame.scripts:
-                urls.append(str(inner.src))
-                hosts.add(inner.src.host)
-                scripts += 1
-                conditional |= self._plan_script(
-                    inner, page_domain, frame.src.host, consent, ops, urls, hosts
-                )
-
-        third_parties = {etld_plus_one(host) for host in hosts}
-        third_parties.discard(page_domain)
-        cmp_name = world.cmps.detect_from_domains(hosts)
-        cmp_rescan = False
-        if conditional:
-            # A fired conditional call adds its ad host to the visit's
-            # loaded set.  Detection is first-provider-wins, so if adding
-            # ALL conditional hosts leaves the verdict unchanged, any
-            # fired subset does too; otherwise fall back to per-visit
-            # detection (unreachable with the shipped CMP catalogue).
-            with_fired = set(hosts)
-            for op in ops:
-                if op.policy is not None and op.call is not None:
-                    with_fired.add(op.call.fetch_host)
-            cmp_rescan = world.cmps.detect_from_domains(with_fired) != cmp_name
-
-        return SitePlan(
-            page_domain=page_domain,
-            url=str(site.url),
-            final_url=str(page.url),
-            banner=page.banner,
-            cmp=cmp_name,
-            cache_urls=tuple(dict.fromkeys(urls)),
-            loaded_hosts=tuple(sorted(hosts)),
-            third_parties=tuple(sorted(third_parties)),
-            ops=tuple(ops),
-            fetches=fetches + scripts,
-            scripts_run=scripts,
-            conditional=conditional,
-            cmp_rescan=cmp_rescan,
-        )
-
-    def _plan_script(
-        self,
-        tag: ScriptTag,
-        page_domain: str,
-        context_host: str,
-        consent: bool,
-        ops: list[PlannedOp],
-        urls: list[str],
-        hosts: set[str],
-    ) -> bool:
-        """Plan one script tag's execution; True if it needs a per-visit
-        policy re-check (alternating A/B window)."""
-        if tag.kind is ScriptKind.AD_TAG:
-            return self._plan_ad_tag(tag, page_domain, consent, ops, urls, hosts)
-        if tag.kind in (ScriptKind.TAG_MANAGER, ScriptKind.ROGUE_FIRST_PARTY):
-            self._plan_infrastructure(tag, context_host, consent, ops)
-        # CMP and GENERIC scripts: nothing beyond their own fetch.
-        return False
-
-    def _plan_ad_tag(
-        self,
-        tag: ScriptTag,
-        page_domain: str,
-        consent: bool,
-        ops: list[PlannedOp],
-        urls: list[str],
-        hosts: set[str],
-    ) -> bool:
-        caller_domain = etld_plus_one(tag.src.host)
-        impression_host = tag.src.host
-        policy = self._world.policy_of(caller_domain)
-        if policy is None:
-            ops.append(PlannedOp(impression_host=impression_host))
-            return False
-        if consent:
-            if policy.alternating_period is not None:
-                # The ON/OFF window depends on the visit clock: bake the
-                # call shape, defer the fire decision.
-                ops.append(
-                    PlannedOp(
-                        impression_host=impression_host,
-                        call=self._planned_ad_call(policy, caller_domain, page_domain),
-                        policy=policy,
-                        caller=caller_domain,
-                    )
-                )
-                return True
-            # now is unused for non-alternating policies (window="static")
-            should_call = policy.is_enabled(caller_domain, page_domain, 0)
-        else:
-            should_call = policy.calls_in_before_accept(
-                caller_domain,
-                page_domain,
-                self._environment_multiplier(page_domain),
-            )
-        if not should_call:
-            ops.append(PlannedOp(impression_host=impression_host))
-            return False
-        call = self._planned_ad_call(policy, caller_domain, page_domain)
-        # Static fire: the per-attempt fetch is part of the fixed surface.
-        urls.append(call.fetch_url)
-        hosts.add(call.fetch_host)
-        ops.append(PlannedOp(impression_host=impression_host, call=call))
-        return False
-
-    def _planned_ad_call(
-        self, policy: TopicsPolicy, caller: str, page_domain: str
-    ) -> PlannedCall:
-        call_type = policy.pick_call_type(caller, page_domain)
-        count = policy.calls_on_page(caller, page_domain)
-        if call_type is ApiCallType.JAVASCRIPT:
-            host = f"frame.{caller}"
-            url = f"https://{host}/topics.html"
-        elif call_type is ApiCallType.FETCH:
-            host = f"bid.{caller}"
-            url = f"https://{host}/topics/bid"
-        else:
-            host = f"ads.{caller}"
-            url = f"https://{host}/render/ad.html"
-        return PlannedCall(
-            caller_host=host,
-            call_type=call_type,
-            count=count,
-            javascript=call_type is ApiCallType.JAVASCRIPT,
-            fetch_url=url,
-            fetch_host=host,
-            fetch_registrable=caller,
-        )
-
-    def _plan_infrastructure(
-        self,
-        tag: ScriptTag,
-        context_host: str,
-        consent: bool,
-        ops: list[PlannedOp],
-    ) -> None:
-        if not tag.rogue_topics_call:
-            return
-        if not consent and not tag.rogue_fires_before_consent:
-            return
-        if self._mode is ScriptOriginMode.SCRIPT_URL:
-            caller_host = tag.src.host
-        else:
-            # Real platform behaviour: the embedding context's origin —
-            # the page itself at root, the frame host inside an iframe.
-            caller_host = context_host
-        ops.append(_rogue_op(caller_host, tag.rogue_call_count))
-
-    def _environment_multiplier(self, page_domain: str) -> float:
-        """How the visited site's consent setup modulates pre-consent ad
-        calls: no banner → no consent string, services stay mostly
-        conservative; a leaky CMP mis-signals consent and services trust
-        it; a home-grown non-gating banner sits in between."""
-        site = self._world.resolve(page_domain)
-        config = self._world.config
-        if site is None or site.banner is None:
-            return config.questionable_multiplier_no_banner
-        if site.banner.cmp is not None and not site.banner.gates_before_consent:
-            return config.questionable_multiplier_leaky_cmp
-        return config.questionable_multiplier_custom_banner

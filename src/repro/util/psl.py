@@ -140,7 +140,10 @@ class PublicSuffixList:
         >>> psl.registrable_domain("ad.foo.net")
         'foo.net'
         """
-        return self._lookup(hostname)[1]
+        entry = self._cache.get(hostname)
+        if entry is None:
+            entry = self._lookup(hostname)
+        return entry[1]
 
     def second_level_name(self, hostname: str) -> str:
         """Return the label left of the public suffix — the paper's notion of
@@ -159,8 +162,16 @@ _DEFAULT_PSL = PublicSuffixList()
 
 
 def etld_plus_one(hostname: str) -> str:
-    """Module-level shorthand for the default PSL's registrable domain."""
-    return _DEFAULT_PSL.registrable_domain(hostname)
+    """Module-level shorthand for the default PSL's registrable domain.
+
+    Cookie tracking and Topics gating call this for every ad impression,
+    so a live-generation hit is one dict probe in this frame; a miss
+    takes the instance's bounded lookup.
+    """
+    entry = _DEFAULT_PSL._cache.get(hostname)
+    if entry is None:
+        entry = _DEFAULT_PSL._lookup(hostname)
+    return entry[1]
 
 
 def registrable_domain(hostname: str) -> str:

@@ -10,6 +10,7 @@ the HTML spec defines it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
@@ -95,3 +96,12 @@ def origin_of(raw: str) -> str:
 def https(host: str, path: str = "/", query: str = "") -> Url:
     """Convenience constructor for the (overwhelmingly common) https case."""
     return Url("https", host, 443, path, query)
+
+
+def hosts_of(urls: Iterable[str]) -> tuple[str, ...]:
+    """The sorted distinct hosts of serialised default-port URLs.
+
+    One string split per URL, no parse: visit plans hold thousands of
+    ``https://host/path`` strings and derive their loaded hosts from them.
+    """
+    return tuple(sorted({url.split("/", 3)[2] for url in urls}))

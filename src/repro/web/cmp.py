@@ -17,6 +17,7 @@ on CMP-equipped sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.util.psl import etld_plus_one
 
@@ -62,8 +63,9 @@ class CmpCatalogue:
         self._providers = providers
         self._by_name = {p.name: p for p in providers}
         self._by_domain = {etld_plus_one(p.domain): p for p in providers}
-        #: registrable domain -> catalogue index, for first-provider-wins
-        #: detection as a min() over dict hits instead of a catalogue scan.
+        #: registrable domain -> catalogue index: first-provider-wins
+        #: detection intersects a page's registrables with these keys and
+        #: takes the lowest index of the hits.
         self._detect_index = {
             etld_plus_one(p.domain): i for i, p in enumerate(providers)
         }
@@ -84,28 +86,22 @@ class CmpCatalogue:
         """Provider by product name; KeyError if unknown."""
         return self._by_name[name]
 
-    def detect_from_domains(self, loaded_domains: list[str] | set[str]) -> str | None:
+    def detect_from_domains(self, loaded_domains: Iterable[str]) -> str | None:
         """Wappalyzer-style detection: which CMP served resources to a page.
 
         ``loaded_domains`` is the set of third-party hosts a visit fetched
         from; the first catalogue provider whose serving domain appears
         wins (pages practically never deploy two CMPs).
         """
-        index = self._detect_index
-        best: int | None = None
-        for domain in loaded_domains:
-            hit = index.get(etld_plus_one(domain))
-            if hit is not None and (best is None or hit < best):
-                best = hit
-        return self._providers[best].name if best is not None else None
+        return self.detect_from_registrables(
+            {etld_plus_one(domain) for domain in loaded_domains}
+        )
 
     def detect_from_registrables(self, registrables: set[str]) -> str | None:
         """As :meth:`detect_from_domains`, for callers that already hold
         registrable domains (skips the per-host eTLD+1 step)."""
         index = self._detect_index
-        best: int | None = None
-        for domain in registrables:
-            hit = index.get(domain)
-            if hit is not None and (best is None or hit < best):
-                best = hit
-        return self._providers[best].name if best is not None else None
+        hits = index.keys() & registrables
+        if not hits:
+            return None
+        return self._providers[min(index[domain] for domain in hits)].name

@@ -16,6 +16,7 @@ coin flips.
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -30,6 +31,18 @@ _HASH_SPACE = float(2**64)
 def stable_fraction(*parts: str) -> float:
     """Deterministic uniform-ish fraction in [0, 1) from string parts."""
     return stable_digest(*parts) / _HASH_SPACE
+
+
+def _payload_fraction(payload: str) -> float:
+    """:func:`stable_fraction` of parts already joined into their digest
+    payload, ``"\\x00".join(parts) + "\\x00"``.
+
+    The per-(party, site) decisions below build that payload with one
+    f-string and hash it here: one string and one SHA-256 per decision,
+    the same bytes as ``stable_fraction(*parts)``.
+    """
+    digest = hashlib.sha256(payload.encode()).digest()
+    return int.from_bytes(digest[:8], "big") / _HASH_SPACE
 
 
 class ThirdPartyCategory(enum.Enum):
@@ -100,7 +113,8 @@ class TopicsPolicy:
             window = "static"
         else:
             window = str(now // self.alternating_period)
-        return stable_fraction("ab", caller, site, window) < self.enabled_rate
+        payload = f"ab\x00{caller}\x00{site}\x00{window}\x00"
+        return _payload_fraction(payload) < self.enabled_rate
 
     def calls_in_before_accept(
         self, caller: str, site: str, environment_multiplier: float = 1.0
@@ -118,11 +132,11 @@ class TopicsPolicy:
             effective = self.before_rate
         else:
             effective = min(1.0, self.before_rate * environment_multiplier)
-        return stable_fraction("ba", caller, site) < effective
+        return _payload_fraction(f"ba\x00{caller}\x00{site}\x00") < effective
 
     def pick_call_type(self, caller: str, site: str) -> ApiCallType:
         """Deterministic per-(caller, site) choice of invocation mechanism."""
-        fraction = stable_fraction("calltype", caller, site)
+        fraction = _payload_fraction(f"calltype\x00{caller}\x00{site}\x00")
         total = sum(self.call_type_weights.values())
         cumulative = 0.0
         for call_type, weight in self.call_type_weights.items():
@@ -135,7 +149,7 @@ class TopicsPolicy:
         """How many times the service calls per page (paper logs repeats)."""
         if self.max_calls_per_page <= 1:
             return 1
-        extra = stable_fraction("repeat", caller, site) < 0.3
+        extra = _payload_fraction(f"repeat\x00{caller}\x00{site}\x00") < 0.3
         return 2 if extra else 1
 
 
@@ -166,9 +180,8 @@ class ThirdParty:
         (on a site that does not block scripts outright)?"""
         if not self.consent_gated:
             return True
-        return (
-            stable_fraction("preload", self.domain, site) < self.preconsent_load_rate
-        )
+        payload = f"preload\x00{self.domain}\x00{site}\x00"
+        return _payload_fraction(payload) < self.preconsent_load_rate
 
     @property
     def is_active_caller(self) -> bool:

@@ -9,9 +9,11 @@ import pytest
 
 from repro.browser.browser import Browser
 from repro.browser.context import ScriptOriginMode
+from repro.browser.plan import environment_multiplier
 from repro.browser.topics.types import ApiCallType
 from repro.web.site import RogueVariant
 from repro.web.thirdparty import GTM_DOMAIN, ThirdPartyCategory
+from tests import plan_walk
 
 
 def direct_sites(world, predicate):
@@ -132,12 +134,8 @@ class TestAdTags:
         assert enabled_seen
 
     def test_environment_multiplier_lookup(self, world):
-        planner = world.visit_planner(ScriptOriginMode.EMBEDDER)
         config = world.config
         no_banner_site = next(s for s in world.websites if s.banner is None)
-        assert planner._environment_multiplier(  # noqa: SLF001
-            no_banner_site.domain
-        ) == config.questionable_multiplier_no_banner
         leaky = next(
             s
             for s in world.websites
@@ -145,12 +143,15 @@ class TestAdTags:
             and s.banner.cmp is not None
             and not s.banner.gates_before_consent
         )
-        assert planner._environment_multiplier(  # noqa: SLF001
-            leaky.domain
-        ) == config.questionable_multiplier_leaky_cmp
+        for site, expected in (
+            (no_banner_site, config.questionable_multiplier_no_banner),
+            (leaky, config.questionable_multiplier_leaky_cmp),
+        ):
+            assert environment_multiplier(site, config) == expected
+            # the reference walk resolves the site by name instead
+            assert plan_walk.environment_multiplier(world, site.domain) == expected
 
     def test_unknown_site_uses_no_banner_multiplier(self, world):
-        planner = world.visit_planner(ScriptOriginMode.EMBEDDER)
-        assert planner._environment_multiplier(  # noqa: SLF001
-            "never-generated.example"
+        assert plan_walk.environment_multiplier(
+            world, "never-generated.example"
         ) == world.config.questionable_multiplier_no_banner

@@ -80,6 +80,23 @@ class TestPSLMemoization:
         assert len(psl._cache) + len(psl._stale) <= 4
         assert psl.registrable_domain("www.site0.com") == "site0.com"
 
+    def test_cache_never_exceeds_its_limit(self, monkeypatch):
+        import repro.util.psl as psl_module
+
+        # The module-level shorthand probes the default instance's live
+        # generation itself; swap in a tiny one to drive it past its limit.
+        psl = PublicSuffixList(cache_limit=8)
+        monkeypatch.setattr(psl_module, "_DEFAULT_PSL", psl)
+        hot = "bid.criteo.co.uk"
+        for index in range(100):
+            hostname = f"www.site{index}.com"
+            assert psl_module.etld_plus_one(hostname) == f"site{index}.com"
+            assert len(psl._cache) + len(psl._stale) <= 8
+            assert psl_module.etld_plus_one(hot) == "criteo.co.uk"
+            assert psl.public_suffix(f"cdn.site{index}.co.uk") == "co.uk"
+            assert len(psl._cache) + len(psl._stale) <= 8
+        assert hot in psl._cache or hot in psl._stale
+
     def test_hot_entries_survive_crossing_the_limit(self):
         """Regression: crossing the cache limit used to drop the whole
         dict, cold-starting every hot caller at once.  With segmented

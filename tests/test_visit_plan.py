@@ -1,13 +1,15 @@
 """Visit plans: compiled plans ≡ the page-walk reference.
 
 ``VisitPlanner._compile_final`` builds one consent variant of a site's
-plan directly from ``Website`` fields; ``VisitPlanner._build`` is the
-retained reference implementation that materialises the page and walks
-its tags.  These tests pin the two equal for every site of a generated
-world (both script-origin modes, both consent states), so neither
-builder can drift silently; pin that instrumented visits replay the
-same plans as bare ones and yield equal records; and pin that a crawl
-compiles After-Accept plans only for the domains it accepted.
+plan directly from ``Website`` fields; ``tests/plan_walk.py`` is the
+reference that materialises the page and walks its tags.  These tests
+pin the two equal for every site of a generated world (both
+script-origin modes, both consent states), including the loaded hosts
+the plan derives from its URLs, so neither builder can drift silently;
+pin that instrumented visits replay the same plans as bare ones and
+yield equal records; pin that a crawl compiles After-Accept plans only
+for the domains it accepted; and pin the shapes the compile shares:
+interned ad ops per party and a fired conditional call's host.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from repro.obs import EventKind, MetricsRegistry, SpanRecorder, Telemetry, Trace
 from repro.obs.spans import SPAN_NAVIGATE
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
+from tests.plan_walk import walk_plan
 
 
 @pytest.fixture(scope="module")
@@ -35,8 +38,8 @@ class TestCompileMatchesPageWalk:
         for domain in domains:
             for consent in (False, True):
                 compiled = planner.plan_for(domain, consent)
-                walked = planner._build(domain, consent)
-                if compiled != walked:
+                walked, hosts = walk_plan(world, mode, domain, consent)
+                if compiled != walked or compiled.loaded_hosts != hosts:
                     mismatches.append((domain, consent))
         assert mismatches == []
 
@@ -134,3 +137,49 @@ class TestLazyConsentVariants:
         assert not after_accept & (failed - redirect_targets)
         before_accept = {domain for domain, consent in planner._plans if not consent}
         assert len(after_accept) < len(before_accept)
+
+
+class TestSharedPlanShapes:
+    def test_ad_ops_are_interned_per_calling_party(self):
+        world = WebGenerator(WorldConfig.small(300, seed=11)).generate()
+        CrawlCampaign(world).run()
+        planner = world.visit_planner(ScriptOriginMode.EMBEDDER)
+
+        uses: dict[str, int] = {}
+        distinct: dict[str, set[int]] = {}
+        for plan in planner._plans.values():
+            for op in plan.ops:
+                if op.call is None or op.impression_host is None:
+                    continue  # impressions and rogue calls
+                caller = op.impression_host
+                uses[caller] = uses.get(caller, 0) + 1
+                distinct.setdefault(caller, set()).add(id(op))
+        assert "static.doubleclick.net" in distinct
+        # (call type, count, conditional): at most 3 x 2 x 2 op objects
+        assert max(len(ids) for ids in distinct.values()) <= 12
+        assert sum(uses.values()) > sum(len(ids) for ids in distinct.values())
+
+    @pytest.mark.parametrize("caller", ["doubleclick.net", "criteo.com"])
+    def test_fired_conditional_call_adds_its_host(self, world, caller):
+        planner = world.visit_planner(ScriptOriginMode.EMBEDDER)
+        browser = Browser(world)
+        seen = set()
+        for site in world.websites:
+            if not site.reachable or site.redirect_to is not None:
+                continue
+            if caller not in site.embedded:
+                continue
+            (op,) = [
+                op
+                for op in planner.plan_for(site.domain, True).ops
+                if op.policy is not None and op.caller == caller
+            ]
+            outcome = browser.visit(site.domain, consent_granted=True)
+            fired = op.policy.is_enabled(caller, site.domain, browser.clock.now())
+            host = op.call.caller_host
+            assert host.split(".", 1)[0] in ("frame", "bid", "ads")
+            assert (host in outcome.loaded_hosts) is fired
+            assert (op.call.fetch_url in outcome.fetched_urls) is fired
+            assert caller in outcome.third_parties
+            seen.add(fired)
+        assert seen == {True, False}

@@ -67,3 +67,24 @@ class TestDetection:
 
     def test_empty_input(self):
         assert CmpCatalogue().detect_from_domains(set()) is None
+
+
+class TestFirstProviderWins:
+    """Two catalogue CMPs loaded: the earlier catalogue entry wins, on
+    both detection entry points, whatever order the domains come in."""
+
+    def test_two_cmps_loaded(self):
+        catalogue = CmpCatalogue()
+        first, second = CMP_CATALOGUE[3], CMP_CATALOGUE[14]  # Cookiebot, SFBX
+        assert catalogue.detect_from_registrables(
+            {second.domain, "site.com", first.domain}
+        ) == first.name
+        assert catalogue.detect_from_domains(
+            [f"cdn.{second.domain}", "www.site.com", f"consent.{first.domain}"]
+        ) == first.name
+
+    def test_none_loaded(self):
+        catalogue = CmpCatalogue()
+        assert catalogue.detect_from_registrables({"site.com", "jsdelivr.net"}) is None
+        assert catalogue.detect_from_registrables(set()) is None
+        assert catalogue.detect_from_domains(["www.site.com"]) is None

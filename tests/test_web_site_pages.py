@@ -11,6 +11,7 @@ from repro.web.generator import SyntheticWeb
 from repro.web.page import IFrameTag, ScriptKind
 from repro.web.site import RogueVariant, Website
 from repro.web.tlds import Region
+from tests.plan_walk import walk_plan
 
 
 class TestBuildPage:
@@ -116,7 +117,9 @@ class TestDeclarativeTopicsIframe:
     def test_iframe_attr_calls_as_frame_source(self, custom_world):
         # Only the reference page walk sees a hand-patched page builder.
         planner = custom_world.visit_planner(ScriptOriginMode.EMBEDDER)
-        plan = planner._build("handmade.com", True)  # noqa: SLF001
+        plan, hosts = walk_plan(
+            custom_world, ScriptOriginMode.EMBEDDER, "handmade.com", True
+        )
         frame_calls = [
             op.call
             for op in plan.ops
@@ -124,7 +127,8 @@ class TestDeclarativeTopicsIframe:
         ]
         assert [call.caller_host for call in frame_calls] == ["ads.criteo.com"]
         assert frame_calls[0].count == 1
-        assert "ads.criteo.com" in plan.loaded_hosts
+        assert "ads.criteo.com" in hosts
+        assert plan.loaded_hosts == hosts
 
         # Replaying the walked plan issues the call as the frame's source.
         planner._plans[("handmade.com", True)] = plan  # noqa: SLF001

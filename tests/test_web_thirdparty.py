@@ -218,3 +218,47 @@ class TestThirdParty:
 
     def test_distillery_constant(self):
         assert DISTILLERY_DOMAIN == "distillery.com"
+
+
+class TestDecisionDigestInputs:
+    """Each per-(party, site) decision hashes exactly the parts
+    ``stable_fraction`` joins: the worlds and datasets depend on it."""
+
+    SITES = [f"site{i}.example" for i in range(300)] + ["café.fr", "x.co.uk"]
+
+    def test_decisions_match_stable_fraction(self):
+        policy = TopicsPolicy(enabled_rate=0.4, before_rate=0.3)
+        alternating = TopicsPolicy(enabled_rate=0.5, alternating_period=3600)
+        service = ThirdParty(
+            domain="ads.example",
+            category=ThirdPartyCategory.ADS,
+            prevalence={},
+            consent_gated=True,
+        )
+        weights = policy.call_type_weights
+        total = sum(weights.values())
+        caller = "criteo.com"
+        for site in self.SITES:
+            assert policy.is_enabled(caller, site, 0) == (
+                stable_fraction("ab", caller, site, "static") < 0.4
+            )
+            assert alternating.is_enabled(caller, site, 7300) == (
+                stable_fraction("ab", caller, site, "2") < 0.5
+            )
+            assert policy.calls_in_before_accept(caller, site, 2.0) == (
+                stable_fraction("ba", caller, site) < 0.6
+            )
+            assert policy.calls_on_page(caller, site) == (
+                2 if stable_fraction("repeat", caller, site) < 0.3 else 1
+            )
+            assert service.loads_preconsent_on(site) == (
+                stable_fraction("preload", "ads.example", site) < 0.30
+            )
+            fraction = stable_fraction("calltype", caller, site)
+            cumulative, expected = 0.0, None
+            for call_type, weight in weights.items():
+                cumulative += weight / total
+                if fraction < cumulative:
+                    expected = call_type
+                    break
+            assert policy.pick_call_type(caller, site) is expected
