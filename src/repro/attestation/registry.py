@@ -12,7 +12,7 @@ appearing in the allow-list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, KeysView, Sequence
 
 from repro.attestation.allowlist import AllowList
 from repro.attestation.wellknown import AttestationFile
@@ -62,10 +62,10 @@ class EnrollmentRegistry:
                 raise ValueError(f"duplicate enrolment for {record.domain}")
             self._by_domain[record.domain] = record
         self._migration_at = migration_at
-        #: (domain, post-migration era) -> served payload.  The payload
-        #: depends on ``now`` only through the migration comparison, so
-        #: two entries per domain cover every instant; repeated surveys
-        #: skip re-serialising the same attestation files.
+        #: (enrolled domain, post-migration era) -> served payload.  The
+        #: payload depends on ``now`` only through the migration
+        #: comparison, so two entries per enrolled domain cover every
+        #: instant; repeated surveys skip re-serialising the same files.
         self._payload_cache: dict[tuple[str, bool], str | None] = {}
 
     def __len__(self) -> int:
@@ -73,6 +73,10 @@ class EnrollmentRegistry:
 
     def __contains__(self, domain: str) -> bool:
         return domain in self._by_domain
+
+    def domains(self) -> KeysView[str]:
+        """Every enrolled domain: the only domains that can serve a file."""
+        return self._by_domain.keys()
 
     def enrollment(self, domain: str) -> Enrollment | None:
         """The enrolment record for a domain, or None."""
@@ -110,10 +114,6 @@ class EnrollmentRegistry:
 
     # -- served artefacts ------------------------------------------------------
 
-    def migrated(self, now: Timestamp) -> bool:
-        """Whether ``now`` falls in the post-migration schema era."""
-        return now >= self._migration_at
-
     def attestation_payload(self, domain: str, now: Timestamp) -> str | None:
         """The attestation JSON ``domain`` serves at time ``now``.
 
@@ -122,6 +122,8 @@ class EnrollmentRegistry:
         erroneous deployments the paper found).  Files regenerated at or
         after the migration date carry the ``enrollment_site`` field.
         """
+        if domain not in self._by_domain:
+            return None
         key = (domain, now >= self._migration_at)
         if key in self._payload_cache:
             return self._payload_cache[key]
@@ -129,8 +131,8 @@ class EnrollmentRegistry:
         return payload
 
     def _build_payload(self, domain: str, migrated: bool) -> str | None:
-        record = self._by_domain.get(domain)
-        if record is None or not record.serves_attestation:
+        record = self._by_domain[domain]
+        if not record.serves_attestation:
             return None
         if not record.attestation_valid:
             return '{"attestation_parser_version": "2"}'  # missing attestations

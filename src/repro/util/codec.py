@@ -97,28 +97,32 @@ def _first_undecodable_line(path: str | Path) -> int | None:
     return None
 
 
-#: The C scanner behind ``json.loads``, called directly: one line decodes
-#: in one call, without ``loads``' per-call argument handling.
-_scan = json.JSONDecoder().scan_once
+#: The C scanner behind ``json.loads``, called directly: ``scan_value(text,
+#: index)`` decodes the one JSON value that starts at ``index`` and returns
+#: it with the index after it, without ``loads``' per-call argument handling.
+scan_value = json.JSONDecoder().scan_once
 
 
 def jsonl_values(path: str | Path) -> Iterator[tuple[int, object]]:
     """``(line number, decoded value)`` for each non-blank JSONL line."""
     for number, line in numbered_lines(path):
+        yield number, decode_line(path, number, line)
+
+
+def decode_line(path: str | Path, number: int, line: str) -> object:
+    """The value of line ``number`` of ``path``; :class:`FormatError` if malformed."""
+    try:
+        value, end = scan_value(line, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    if end != len(line) and not (end == len(line) - 1 and line[end] == "\n"):
+        # Leading blanks, trailing data or a defect: json.loads either
+        # decodes the line after all or names what is wrong with it.
         try:
-            value, end = _scan(line, 0)
-        except (StopIteration, ValueError):
-            end = -1
-        if end != len(line) and not (end == len(line) - 1 and line[end] == "\n"):
-            # Leading blanks, trailing data or a defect: json.loads either
-            # decodes the line after all or names what is wrong with it.
-            try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(
-                    path, number, f"malformed JSON ({exc.msg})"
-                ) from None
-        yield number, value
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(path, number, f"malformed JSON ({exc.msg})") from None
+    return value
 
 
 def read_json_object(path: str | Path) -> dict:

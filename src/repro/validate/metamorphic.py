@@ -157,10 +157,7 @@ def compare_semantics(left: CrawlResult, right: CrawlResult) -> list[str]:
         differences.append("allow-list snapshots differ")
     if left.survey.domains() != right.survey.domains():
         differences.append("surveys cover different domains")
-    elif any(
-        left.survey.probe(domain) != right.survey.probe(domain)
-        for domain in left.survey.domains()
-    ):
+    elif left.survey != right.survey:
         differences.append("survey probes differ")
     return differences
 

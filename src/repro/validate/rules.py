@@ -522,15 +522,22 @@ def _survey_coverage(a: CrawlArtifacts) -> Iterator:
             "from the survey",
             missing=len(dropped) - 20,
         )
-    for domain in result.survey.domains():
-        probe = result.survey.probe(domain)
-        if domain not in expected:
+    # An absent row is neither served nor valid, so only the other rows
+    # can be valid without being served.
+    unexpected = result.survey.unexpected(expected)
+    unserved = {
+        probe.domain
+        for probe in result.survey.nonabsent_probes()
+        if probe.valid and not probe.served
+    }
+    for domain in sorted(unexpected | unserved):
+        if domain in unexpected:
             yield fail(
                 f"survey probes {domain!r}, which the campaign never "
                 "encountered",
                 domain=domain,
             )
-        if probe.valid and not probe.served:
+        if domain in unserved:
             yield fail(
                 f"probe of {domain!r} is valid but was never served",
                 domain=domain,

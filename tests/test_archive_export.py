@@ -1,11 +1,13 @@
 """Tests for campaign archives and CSV exporters."""
 
 import csv
+import json
 
 import pytest
 
 from repro.analysis.export import export_study
 from repro.crawler.archive import load_crawl, save_crawl
+from repro.crawler.wellknown import AttestationProbe, AttestationSurvey
 
 
 class TestArchive:
@@ -29,6 +31,32 @@ class TestArchive:
         assert loaded.survey.attested_domains() == crawl.survey.attested_domains()
         assert loaded.survey.issue_dates() == crawl.survey.issue_dates()
 
+    def test_load_builds_probes_only_for_nonabsent_lines(
+        self, crawl, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "attestation_survey.jsonl"
+        crawl.survey.to_jsonl(path)
+        # An absent line: no file, not valid, no issue date, no enrolment site.
+        nonabsent = [
+            row["domain"]
+            for row in map(json.loads, path.read_text().splitlines())
+            if row["served"] or row["valid"] or row["issued"] is not None
+            or row["has_enrollment_site"]
+        ]
+        built = []
+        init = AttestationProbe.__init__
+
+        def counting_init(self, domain, *args, **kwargs):
+            built.append(domain)
+            init(self, domain, *args, **kwargs)
+
+        monkeypatch.setattr(AttestationProbe, "__init__", counting_init)
+        loaded = AttestationSurvey.from_jsonl(path)
+        monkeypatch.undo()
+        assert 0 < len(nonabsent) < len(crawl.survey) // 10
+        assert sorted(built) == sorted(nonabsent)
+        assert loaded == crawl.survey
+
     def test_analysis_identical_after_round_trip(self, crawl, loaded, study):
         from repro.analysis.classify import build_table1
 
@@ -44,7 +72,7 @@ class TestArchive:
     def test_full_result_equality_after_round_trip(self, crawl, loaded):
         # The loaded archive is the same CrawlResult, not merely
         # field-by-field similar: every survey probe included.
-        assert loaded.survey._by_domain == crawl.survey._by_domain
+        assert loaded.survey == crawl.survey
         reloaded_jsonl = "\n".join(r.to_json() for r in loaded.d_ba.records)
         original_jsonl = "\n".join(r.to_json() for r in crawl.d_ba.records)
         assert reloaded_jsonl == original_jsonl

@@ -103,6 +103,16 @@ class TestServedPayloads:
     def test_unknown_party_serves_nothing(self, registry):
         assert registry.attestation_payload("unknown.com", now=0) is None
 
+    def test_payload_cache_holds_only_enrolled_domains(self, registry):
+        # A paper-scale survey asks about ~63k domains, ~200 enrolled.
+        for now in (0, MIGRATION_AT):
+            for domain in [f"unknown{i}.com" for i in range(50)] + ["svc5.com"]:
+                registry.attestation_payload(domain, now=now)
+        assert registry._payload_cache.keys() == {  # noqa: SLF001
+            ("svc5.com", False),
+            ("svc5.com", True),
+        }
+
     def test_migration_adds_enrollment_site(self, registry):
         before = registry.attestation_payload("svc5.com", now=MIGRATION_AT - 1)
         after = registry.attestation_payload("svc5.com", now=MIGRATION_AT)

@@ -2,6 +2,8 @@
 
 from repro.crawler.campaign import CrawlCampaign
 from repro.crawler.dataset import PHASE_AFTER, PHASE_BEFORE
+from repro.crawler.wellknown import survey_attestations
+from repro.obs import MetricsRegistry, Telemetry, Tracer
 from repro.web.thirdparty import DISTILLERY_DOMAIN
 
 
@@ -81,6 +83,32 @@ class TestArtefacts:
         assert attested_allowed == small_config.allowed_total - (
             small_config.unattested_allowed
         )
+
+    def test_survey_fetches_only_enrolled_domains(self, crawl, world, monkeypatch):
+        fetched = []
+        serve = type(world).well_known_payload
+
+        def counting_serve(self, domain, now):
+            fetched.append(domain)
+            return serve(self, domain, now)
+
+        monkeypatch.setattr(type(world), "well_known_payload", counting_serve)
+        targets = set(crawl.survey.domains())
+        tracer, metrics = Tracer(), MetricsRegistry()
+        survey = survey_attestations(
+            world, targets, crawl.report.finished_at, Telemetry(tracer, metrics)
+        )
+        assert sorted(fetched) == sorted(targets & set(world.registry.domains()))
+        assert len(fetched) < len(targets) // 10
+        # Every domain, absent ones included, still has its event and count.
+        events = tracer.events("attestation-fetch")
+        assert [event.fields["domain"] for event in events] == sorted(targets)
+        absent = [d for d in targets if not crawl.survey.probe(d).served]
+        counts = metrics.snapshot()
+        assert counts.counter_value("attestation_probes_total", result="absent") == (
+            len(absent)
+        )
+        assert survey == crawl.survey
 
 
 class TestConsentStateAcrossPhases:

@@ -72,8 +72,8 @@ class TestSurveyEquivalence:
     def test_identical_attestation_surveys(self, sequential, sharded):
         seq_result = sequential[0]
         sh_result = sharded[0]
-        seq_domains = {d for d in map(lambda p: p.domain, seq_result.survey._by_domain.values())}
-        sh_domains = {d for d in map(lambda p: p.domain, sh_result.survey._by_domain.values())}
+        seq_domains = set(seq_result.survey.domains())
+        sh_domains = set(sh_result.survey.domains())
         assert seq_domains == sh_domains
         for domain in seq_domains:
             assert seq_result.survey.probe(domain) == sh_result.survey.probe(domain)
@@ -221,7 +221,7 @@ class TestSpanEquivalence:
         plain.d_ba.to_jsonl(right_path)
         assert left_path.read_bytes() == right_path.read_bytes()
         assert instrumented.report == plain.report
-        assert instrumented.survey._by_domain == plain.survey._by_domain
+        assert instrumented.survey == plain.survey
 
     def test_sequential_tree_shape(self, sequential):
         result, spans = sequential[0], sequential[3]

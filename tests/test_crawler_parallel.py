@@ -86,8 +86,8 @@ class TestShardedCrawl:
     def test_survey_matches_sequential(self, sharded, crawl):
         # The merge builds its survey from the same attestation_targets
         # helper as the sequential campaign: probe-identical surveys.
-        seq_domains = set(crawl.survey._by_domain)
-        sh_domains = set(sharded.survey._by_domain)
+        seq_domains = set(crawl.survey.domains())
+        sh_domains = set(sharded.survey.domains())
         assert seq_domains == sh_domains
         for domain in seq_domains:
             assert sharded.survey.probe(domain) == crawl.survey.probe(domain)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crawler.columnar import VisitBuffers
 from repro.crawler.dataset import CallRecord, Dataset, VisitRecord
-from repro.crawler.wellknown import AttestationProbe, AttestationSurvey
+from repro.crawler.wellknown import AttestationProbe, AttestationSurvey, _absent_domain
 from repro.util.codec import FormatError
 
 # -- strategies -----------------------------------------------------------------
@@ -60,6 +60,36 @@ probes = st.builds(
     issued=optional_text,
     has_enrollment_site=st.booleans(),
 )
+#: Domains whose JSON literal needs escapes: quote, backslash, non-ASCII.
+escaped_domains = text | st.sampled_from(
+    ['a"b.com', "a\\b.com", "\\", '"', "ex\u00e4mple.de", "\u4f8b.jp", "😀.com"]
+)
+#: Surveys mixing absent rows (no file, no date) with every other kind.
+survey_rows = st.lists(
+    st.builds(
+        AttestationProbe,
+        domain=escaped_domains,
+        served=st.just(False),
+        valid=st.just(False),
+    )
+    | st.builds(
+        AttestationProbe,
+        domain=escaped_domains,
+        served=st.booleans(),
+        valid=st.booleans(),
+        issued=optional_text,
+        has_enrollment_site=st.booleans(),
+    ),
+    max_size=8,
+    unique_by=lambda probe: probe.domain,
+)
+
+#: The absent template around a domain literal: ``_ABSENT_HEAD`` + literal
+#: + ``_ABSENT_TAIL`` in the survey module.
+ABSENT_HEAD = '{"domain": '
+ABSENT_TAIL = (
+    ', "served": false, "valid": false, "issued": null, "has_enrollment_site": false}'
+)
 
 
 PLAIN_RECORD = VisitRecord(
@@ -82,6 +112,11 @@ def _line_of(record: VisitRecord, rank_offset: int = 0) -> str:
     buffers = VisitBuffers()
     buffers.append_record(record)
     return next(buffers.iter_lines(rank_offset))
+
+
+def _compact_line(probe: AttestationProbe) -> bytes:
+    """A probe line that matches no template, so it is always fully checked."""
+    return json.dumps(dataclasses.asdict(probe), separators=(",", ":")).encode()
 
 
 def _write_and_read(lines: list[bytes], read):
@@ -133,6 +168,37 @@ class TestProbeCodec:
             survey.to_jsonl(path)
             loaded = AttestationSurvey.from_jsonl(path)
         assert [loaded.probe(d) for d in loaded.domains()] == sorted(
+            rows, key=lambda probe: probe.domain
+        )
+
+    @settings(max_examples=60)
+    @given(survey_rows)
+    def test_columnar_lines_are_the_per_probe_lines(self, rows):
+        survey = AttestationSurvey(rows)
+        expected = "".join(
+            probe.to_json() + "\n" for probe in sorted(rows, key=lambda p: p.domain)
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "survey.jsonl"
+            survey.to_jsonl(path)
+            assert path.read_bytes() == expected.encode()
+
+    @given(escaped_domains)
+    def test_absent_line_is_the_template(self, domain):
+        line = AttestationProbe(domain=domain, served=False, valid=False).to_json()
+        assert line == ABSENT_HEAD + json.dumps(domain) + ABSENT_TAIL
+        assert _absent_domain(line) == domain
+        assert _absent_domain(line + "\n") == domain
+
+    @settings(max_examples=60)
+    @given(survey_rows)
+    def test_fast_path_and_checked_decoder_agree(self, rows):
+        templated = [probe.to_json().encode() for probe in rows]
+        compact = [_compact_line(probe) for probe in rows]
+        fast = _write_and_read(templated, AttestationSurvey.from_jsonl)
+        checked = _write_and_read(compact, AttestationSurvey.from_jsonl)
+        assert fast == checked == AttestationSurvey(rows)
+        assert [fast.probe(d) for d in fast.domains()] == sorted(
             rows, key=lambda probe: probe.domain
         )
 
@@ -237,7 +303,10 @@ class TestCorruption:
             _write_and_read(lines, lambda path: Dataset.from_jsonl("D_BA", path))
         assert caught.value.line == 2
 
-    @given(st.lists(probes, min_size=1, max_size=4), st.data())
+    @given(
+        st.lists(probes, min_size=1, max_size=4, unique_by=lambda probe: probe.domain),
+        st.data(),
+    )
     def test_probe_defects(self, rows, data):
         lines = [probe.to_json().encode() for probe in rows]
         index = data.draw(st.integers(0, len(lines) - 1))
@@ -247,3 +316,90 @@ class TestCorruption:
         with pytest.raises(FormatError) as caught:
             _write_and_read(lines, AttestationSurvey.from_jsonl)
         assert caught.value.line == index + 1
+
+
+def _absent_line(literal: str) -> bytes:
+    return (ABSENT_HEAD + literal + ABSENT_TAIL).encode()
+
+
+class TestSurveyCorruption:
+    @given(
+        st.lists(probes, max_size=3, unique_by=lambda probe: probe.domain), st.data()
+    )
+    def test_truncated_domain_literal(self, rows, data):
+        lines = [probe.to_json().encode() for probe in rows]
+        literal = json.dumps(data.draw(escaped_domains))
+        cut = data.draw(st.integers(1, len(literal) - 1))
+        index = data.draw(st.integers(0, len(lines)))
+        lines.insert(index, _absent_line(literal[:cut]))
+        with pytest.raises(FormatError, match="malformed JSON") as caught:
+            _write_and_read(lines, AttestationSurvey.from_jsonl)
+        assert caught.value.line == index + 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            ABSENT_HEAD.encode() + b'"a.com',  # unterminated, no tail
+            ABSENT_HEAD.encode() + b'"a.com' + ABSENT_TAIL.encode()[:-1],
+            _absent_line('"a.com') + b" ",
+            _absent_line('"a.com" "b.com"'),
+            _absent_line('"a.com"') + b"x",
+            _absent_line('"a.com"') + b"{}",
+        ],
+        ids=[
+            "unterminated",
+            "unterminated-in-tail",
+            "unterminated-trailing-blank",
+            "two-literals",
+            "trailing-data",
+            "trailing-object",
+        ],
+    )
+    def test_malformed_absent_line(self, line):
+        lines = [_absent_line('"z.com"'), line, _absent_line('"y.com"')]
+        with pytest.raises(FormatError) as caught:
+            _write_and_read(lines, AttestationSurvey.from_jsonl)
+        assert caught.value.line == 2
+
+    @pytest.mark.parametrize(
+        "literal,kind",
+        [
+            ("42", "number"),
+            ("null", "null"),
+            ("true", "boolean"),
+            ('["a.com"]', "array"),
+            ("{}", "object"),
+        ],
+    )
+    def test_non_string_domain(self, literal, kind):
+        lines = [_absent_line('"a.com"'), _absent_line(literal)]
+        wrong_type = f"'domain' has the wrong type \\({kind}\\)"
+        with pytest.raises(FormatError, match=wrong_type) as caught:
+            _write_and_read(lines, AttestationSurvey.from_jsonl)
+        assert caught.value.line == 2
+
+    ATTESTED = AttestationProbe("a.com", True, True, "2023-06-16", False)
+    ABSENT = AttestationProbe("a.com", False, False)
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (ATTESTED.to_json(), ABSENT.to_json()),  # then the fast path
+            (ABSENT.to_json(), ATTESTED.to_json()),  # then the checked path
+            (ABSENT.to_json(), ABSENT.to_json()),
+            # compact separators: the absent row takes the checked path
+            (ATTESTED.to_json(), _compact_line(ABSENT).decode()),
+        ],
+        ids=[
+            "attested-then-absent",
+            "absent-then-attested",
+            "absent-twice",
+            "attested-then-checked-absent",
+        ],
+    )
+    def test_repeated_domain(self, first, second):
+        # Before the columnar survey the last line won: a.com loaded as absent.
+        lines = [_absent_line('"0.com"'), first.encode(), second.encode()]
+        with pytest.raises(FormatError, match="repeats domain 'a.com'") as caught:
+            _write_and_read(lines, AttestationSurvey.from_jsonl)
+        assert caught.value.line == 3

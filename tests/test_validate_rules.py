@@ -17,6 +17,7 @@ import pytest
 
 from repro.crawler.archive import save_crawl
 from repro.crawler.resumable import ResumableCrawl
+from repro.crawler.wellknown import AttestationProbe
 from repro.obs import MetricsRegistry, SpanRecorder, Telemetry, Tracer
 from repro.validate import (
     RULE_REGISTRY,
@@ -290,6 +291,54 @@ class TestSeededDefects:
         violation = outcome.violations[0]
         assert violation.context["rank"] >= 1
         assert violation.to_dict()["severity"] == "error"
+
+
+class TestSurveyCoverage:
+    def test_unexpected_and_unserved_rows_in_domain_order(self, archive):
+        path = archive / "attestation_survey.jsonl"
+        rows = _load_jsonl(path)
+        absent = [row for row in rows if not (row["served"] or row["valid"])]
+        never_met = [
+            "aaa-never-met.example",
+            "mmm-never-met.example",
+            "zzz-never-met.example",
+        ]
+        unserved = [absent[len(absent) // 3]["domain"], absent[-1]["domain"]]
+        unserved.append(never_met[1])  # both defects on one row
+        rows += [
+            {
+                "domain": domain,
+                "served": False,
+                "valid": False,
+                "issued": None,
+                "has_enrollment_site": False,
+            }
+            for domain in never_met
+        ]
+        for row in rows:
+            if row["domain"] in unserved:
+                row["valid"] = True
+        rows.sort(key=lambda row: row["domain"])
+        path.write_text(
+            "".join(AttestationProbe(**row).to_json() + "\n" for row in rows)
+        )
+
+        report = audit_archive(archive)
+        (outcome,) = [o for o in report.outcomes if o.rule == "survey-coverage"]
+        # Domain order; per domain the unexpected finding comes first.
+        findings = sorted(
+            [(domain, 0) for domain in never_met]
+            + [(domain, 1) for domain in unserved]
+        )
+        assert [v.message for v in outcome.violations] == [
+            f"survey probes {domain!r}, which the campaign never encountered"
+            if kind == 0
+            else f"probe of {domain!r} is valid but was never served"
+            for domain, kind in findings
+        ]
+        assert [v.context for v in outcome.violations] == [
+            {"domain": domain} for domain, _ in findings
+        ]
 
 
 class TestTaxonomyInjection:
