@@ -9,8 +9,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.util.timeline import Timestamp
-
 
 class ApiCallType(enum.Enum):
     """How a caller invoked the Topics API (paper §2.2, integration guide).
@@ -44,20 +42,6 @@ class Topic:
     taxonomy_version: str
     model_version: str
     is_noise: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class TopicObservation:
-    """A (site, caller) observation: ``caller`` saw the user on ``site``.
-
-    The API only returns topics of epochs/sites the *same caller* observed
-    — the "observed-by" requirement — so the history must record who
-    witnessed each visit.
-    """
-
-    site: str
-    caller: str
-    at: Timestamp
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 from repro.crawler.campaign import CrawlReport, CrawlResult
 from repro.crawler.dataset import Dataset
 from repro.crawler.wellknown import AttestationSurvey
-from repro.util.codec import FormatError, numbered_lines, read_json_object
+from repro.util.codec import located, numbered_lines, read_json_object
 from repro.util.fsio import atomic_write_text
 
 _D_BA_FILE = "d_ba.jsonl"
@@ -64,10 +64,8 @@ def load_crawl(directory: str | Path) -> CrawlResult:
     )
     report_path = source / _REPORT_FILE
     payload = read_json_object(report_path)
-    try:
+    with located(report_path):
         report = CrawlReport.from_dict(payload)
-    except ValueError as exc:
-        raise FormatError(report_path, None, str(exc)) from None
     return CrawlResult(
         d_ba=Dataset.from_jsonl("D_BA", source / _D_BA_FILE),
         d_aa=Dataset.from_jsonl("D_AA", source / _D_AA_FILE),

@@ -34,7 +34,7 @@ from repro.obs.spans import (
     SPAN_RETRY,
     SPAN_VISIT,
 )
-from repro.util.codec import json_type, key_defect
+from repro.util.codec import check_fields
 from repro.util.timeline import SimClock
 
 if TYPE_CHECKING:
@@ -95,24 +95,16 @@ class CrawlReport:
         ``data`` must hold exactly the report's fields: integer counters
         and a ``failure_kinds`` object of integer counts.
         """
-        if type(data) is not dict:
-            raise ValueError(f"expected a JSON object, got {json_type(data)}")
-        if data.keys() != _REPORT_FIELDS:
-            raise ValueError(key_defect(data.keys(), _REPORT_FIELDS))
-        for name, value in data.items():
-            if name == "failure_kinds":
-                if type(value) is not dict or any(
-                    type(count) is not int for count in value.values()
-                ):
-                    raise ValueError("field 'failure_kinds' has the wrong type")
-            elif type(value) is not int:
-                raise ValueError(
-                    f"field {name!r} has the wrong type ({json_type(value)})"
-                )
+        check_fields(data, _REPORT_FIELDS)
+        if {type(count) for count in data["failure_kinds"].values()} - {int}:
+            raise ValueError("field 'failure_kinds' has the wrong type")
         return cls(**{**data, "failure_kinds": dict(data["failure_kinds"])})
 
 
-_REPORT_FIELDS = frozenset(item.name for item in fields(CrawlReport))
+#: Every report field is an integer counter but ``failure_kinds``.
+_REPORT_FIELDS = {item.name: (int,) for item in fields(CrawlReport)} | {
+    "failure_kinds": (dict,)
+}
 
 #: Progress hook: ``progress(shard, completed, visits)``, the shard's
 #: :attr:`CrawlReport.completed` and :attr:`CrawlReport.visits` counts.
@@ -459,20 +451,28 @@ class CrawlCampaign:
         """Rehydrate browser + datasets from a checkpoint; returns the report."""
         from repro.crawler.checkpoint import CheckpointError
 
+        # The store is set whenever a campaign resumes (see __init__).
+        where = self._checkpoint_store.directory
         if checkpoint.shard_index != self._shard_index:
             raise CheckpointError(
+                where,
+                None,
                 f"checkpoint belongs to shard {checkpoint.shard_index}, "
-                f"campaign is shard {self._shard_index}"
+                f"campaign is shard {self._shard_index}",
             )
         if checkpoint.targets != total:
             raise CheckpointError(
+                where,
+                None,
                 f"checkpoint covers a ranking of {checkpoint.targets} targets, "
-                f"campaign has {total}"
+                f"campaign has {total}",
             )
         browser.restore_state(checkpoint.browser_state)
         if browser.state_digest() != checkpoint.state_digest:
             raise CheckpointError(
-                "restored browser state does not reproduce the checkpoint digest"
+                where,
+                None,
+                "restored browser state does not reproduce the checkpoint digest",
             )
         # The datasets are fresh: splice the checkpoint's columns in.
         d_ba.buffers.extend(checkpoint.d_ba)

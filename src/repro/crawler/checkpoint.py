@@ -53,7 +53,15 @@ from repro.browser.browser import state_digest_of
 from repro.crawler.campaign import CrawlReport
 from repro.crawler.columnar import VisitBuffers
 from repro.obs.metrics import MetricsSnapshot
-from repro.util.codec import json_type, key_defect, type_defect
+from repro.util.codec import (
+    ANY_JSON,
+    FormatError,
+    check_fields,
+    decode_line,
+    located,
+    read_json_object,
+    read_text,
+)
 from repro.util.fsio import atomic_write_lines, atomic_write_text
 from repro.util.text import stable_digest
 
@@ -66,8 +74,9 @@ MANIFEST_FILE = "MANIFEST.json"
 _FILE_PATTERN = re.compile(r"^checkpoint-(\d{8})\.jsonl$")
 
 
-class CheckpointError(RuntimeError):
-    """A checkpoint could not be read, or does not match the campaign."""
+class CheckpointError(FormatError):
+    """A checkpoint file or manifest that does not parse, or does not
+    match the campaign resuming from it."""
 
 
 @dataclass(frozen=True)
@@ -126,84 +135,74 @@ class ShardCheckpoint:
         return lines
 
     @classmethod
-    def from_lines(cls, lines: list[str], source: str = "<memory>") -> "ShardCheckpoint":
-        if len(lines) < 4:
-            raise CheckpointError(f"{source}: truncated checkpoint (header missing)")
-        number = 1
-        try:
-            header = _checked_header(json.loads(lines[0])["checkpoint"])
-            number = 2
-            report = CrawlReport.from_dict(json.loads(lines[1])["report"])
-            number = 3
-            browser_state = json.loads(lines[2])["browser"]
-            number = 4
-            metrics_payload = json.loads(lines[3])["metrics"]
-            datasets = {"ba": VisitBuffers(), "aa": VisitBuffers()}
-            for number, line in enumerate(lines[4:], start=5):
-                if not line.strip():
+    def from_lines(
+        cls, lines: Iterable[str], source: str | Path = "<memory>"
+    ) -> "ShardCheckpoint":
+        """The inverse of :meth:`to_lines`; :class:`CheckpointError`
+        naming ``source`` and the line on any defect.  Blank lines are
+        skipped."""
+        preamble: list = []
+        datasets = {"ba": VisitBuffers(), "aa": VisitBuffers()}
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            with located(source, number, CheckpointError):
+                value = decode_line(source, number, line, CheckpointError)
+                if len(preamble) < len(_PREAMBLE):
+                    key, parse = _PREAMBLE[len(preamble)]
+                    preamble.append(parse(check_fields(value, {key: ANY_JSON})[key]))
                     continue
-                payload = json.loads(line)
-                if type(payload) is not dict or payload.keys() != _RECORD_LINE_KEYS:
-                    raise ValueError("expected a {dataset, record} object")
-                datasets[payload["dataset"]].append_row(payload["record"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"{source}:{number}: malformed checkpoint: {exc}"
-            ) from exc
-        if header["version"] > CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"{source}: checkpoint format v{header['version']} is newer "
-                f"than supported v{CHECKPOINT_FORMAT_VERSION}"
-            )
+                row = check_fields(value, _RECORD_LINE_FIELDS)
+                if row["dataset"] not in datasets:
+                    raise ValueError(f"unknown dataset {row['dataset']!r}")
+                datasets[row["dataset"]].append_row(row["record"])
+        if len(preamble) < len(_PREAMBLE):
+            raise CheckpointError(source, None, "truncated checkpoint (header missing)")
+        header, report, browser_state, metrics = preamble
         if state_digest_of(browser_state) != header["state_digest"]:
             raise CheckpointError(
-                f"{source}: browser state does not match its recorded digest"
+                source, None, "browser state does not match its recorded digest"
             )
         return cls(
-            shard_index=header["shard_index"],
-            visits_done=header["visits_done"],
-            targets=header["targets"],
-            complete=header["complete"],
-            clock_now=header["clock_now"],
+            **header,
             browser_state=browser_state,
-            state_digest=header["state_digest"],
             report=report,
             d_ba=datasets["ba"],
             d_aa=datasets["aa"],
-            metrics=(
-                MetricsSnapshot.from_dict(metrics_payload)
-                if metrics_payload is not None
-                else None
-            ),
-            version=header["version"],
+            metrics=metrics,
         )
 
 
-_RECORD_LINE_KEYS = frozenset(("dataset", "record"))
-
-#: The header's ``(field, allowed types)``, as :meth:`to_lines` writes it.
-_HEADER_TYPES = (
-    ("version", (int,)),
-    ("shard_index", (int,)),
-    ("visits_done", (int,)),
-    ("targets", (int,)),
-    ("complete", (bool,)),
-    ("clock_now", (int,)),
-    ("state_digest", (str,)),
-)
-_HEADER_KEYS = frozenset(name for name, _ in _HEADER_TYPES)
+#: The header's fields and their types, as :meth:`to_lines` writes them.
+_HEADER_FIELDS = {
+    "version": (int,),
+    "shard_index": (int,),
+    "visits_done": (int,),
+    "targets": (int,),
+    "complete": (bool,),
+    "clock_now": (int,),
+    "state_digest": (str,),
+}
+_RECORD_LINE_FIELDS = {"dataset": (str,), "record": ANY_JSON}
 
 
-def _checked_header(header: object) -> dict:
-    """``header`` if it has exactly the header's fields and types, else
-    ``ValueError`` naming the first defect."""
-    if type(header) is not dict:
-        raise ValueError(f"header: expected a JSON object, got {json_type(header)}")
-    if header.keys() != _HEADER_KEYS:
-        raise ValueError(f"header: {key_defect(header.keys(), _HEADER_KEYS)}")
-    if any(type(header[name]) not in types for name, types in _HEADER_TYPES):
-        raise ValueError(f"header: {type_defect(_HEADER_TYPES, header)}")
+def _header(value: object) -> dict:
+    header = check_fields(value, _HEADER_FIELDS)
+    if header["version"] > CHECKPOINT_FORMAT_VERSION:
+        raise ValueError(
+            f"checkpoint format v{header['version']} is newer than "
+            f"supported v{CHECKPOINT_FORMAT_VERSION}"
+        )
     return header
+
+
+#: The four lines before the rows: ``(key, decoder)`` of ``{key: value}``.
+_PREAMBLE = (
+    ("checkpoint", _header),
+    ("report", CrawlReport.from_dict),
+    ("browser", lambda state: check_fields(state, {}, extra=True)),
+    ("metrics", lambda data: None if data is None else MetricsSnapshot.from_dict(data)),
+)
 
 
 def campaign_fingerprint(
@@ -222,6 +221,20 @@ def campaign_fingerprint(
         "shard_count": shard_count,
         "corrupt_allowlist": corrupt_allowlist,
     }
+
+
+#: ``MANIFEST.json``: the campaign's fingerprint (``None`` until a
+#: campaign binds the directory) and each shard's newest checkpoint.
+_MANIFEST_FIELDS = {"fingerprint": (dict, type(None)), "shards": (dict,)}
+_FINGERPRINT_FIELDS = {
+    "targets": (int,),
+    "ranking_digest": (str,),
+    "shard_count": (int,),
+    "corrupt_allowlist": (bool,),
+}
+_MANIFEST_ENTRY_FIELDS = {
+    "latest": (str,), "visits_done": (int,), "targets": (int,), "complete": (bool,)
+}
 
 
 class CheckpointStore:
@@ -260,13 +273,19 @@ class CheckpointStore:
     # -- manifest -------------------------------------------------------------
 
     def manifest(self) -> dict | None:
+        """The directory's ``MANIFEST.json``, or ``None`` before the first
+        write; :class:`CheckpointError` naming it when it is malformed."""
         path = self._directory / MANIFEST_FILE
         if not path.exists():
             return None
-        try:
-            return json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}: malformed manifest: {exc}") from exc
+        manifest = read_json_object(path, CheckpointError)
+        with located(path, None, CheckpointError):
+            check_fields(manifest, _MANIFEST_FIELDS)
+            if manifest["fingerprint"] is not None:
+                check_fields(manifest["fingerprint"], _FINGERPRINT_FIELDS)
+            for entry in manifest["shards"].values():
+                check_fields(entry, _MANIFEST_ENTRY_FIELDS)
+        return manifest
 
     def initialize(self, fingerprint: dict) -> None:
         """Bind the directory to one campaign, or verify it already is.
@@ -280,11 +299,12 @@ class CheckpointStore:
             if manifest is None:
                 self._write_manifest({"fingerprint": fingerprint, "shards": {}})
                 return
-        if manifest.get("fingerprint") != fingerprint:
+        if manifest["fingerprint"] != fingerprint:
             raise CheckpointError(
-                f"{self._directory}: checkpoint directory belongs to a "
-                f"different campaign (fingerprint {manifest.get('fingerprint')} "
-                f"!= {fingerprint})"
+                self._directory / MANIFEST_FILE,
+                None,
+                "checkpoint directory belongs to a different campaign "
+                f"(fingerprint {manifest['fingerprint']} != {fingerprint})",
             )
 
     def _write_manifest(self, manifest: dict) -> None:
@@ -323,12 +343,8 @@ class CheckpointStore:
     # -- reading --------------------------------------------------------------
 
     def load(self, path: str | Path) -> ShardCheckpoint:
-        path = Path(path)
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
-        return ShardCheckpoint.from_lines(lines, source=str(path))
+        text = read_text(path, CheckpointError)
+        return ShardCheckpoint.from_lines(text.split("\n"), source=path)
 
     def latest(self, shard_index: int) -> ShardCheckpoint | None:
         """The newest durable checkpoint for a shard, or None.
@@ -341,7 +357,7 @@ class CheckpointStore:
         manifest = self.manifest()
         candidates: list[Path] = []
         if manifest is not None:
-            entry = manifest.get("shards", {}).get(str(shard_index))
+            entry = manifest["shards"].get(str(shard_index))
             if entry is not None:
                 candidates.append(self._directory / entry["latest"])
         shard_dir = self.shard_dir(shard_index)
@@ -445,21 +461,22 @@ class PartialManifest:
     @classmethod
     def load(cls, path: str | Path) -> "PartialManifest":
         """Read a manifest; :class:`CheckpointError` naming ``path`` on
-        anything but JSON with a ``missing_ranges`` list of whole ranges."""
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-            return cls(
-                missing=[
-                    MissingRange(
-                        shard_index=entry["shard"],
-                        from_rank=entry["from_rank"],
-                        to_rank=entry["to_rank"],
-                        error=entry["error"],
-                    )
-                    for entry in data["missing_ranges"]
-                ]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"{path}: malformed partial manifest: {type(exc).__name__}: {exc}"
-            ) from exc
+        anything but the object :meth:`to_json` writes."""
+        data = read_json_object(path, CheckpointError)
+        with located(path, None, CheckpointError):
+            check_fields(data, _PARTIAL_FIELDS)
+            for entry in data["missing_ranges"]:
+                check_fields(entry, _MISSING_RANGE_FIELDS)
+        # The table lists a range's fields in MissingRange's order.
+        return cls(
+            missing=[
+                MissingRange(*map(entry.get, _MISSING_RANGE_FIELDS))
+                for entry in data["missing_ranges"]
+            ]
+        )
+
+
+_PARTIAL_FIELDS = {"missing_targets": (int,), "missing_ranges": (list,)}
+_MISSING_RANGE_FIELDS = {
+    "shard": (int,), "from_rank": (int,), "to_rank": (int,), "error": (str,)
+}

@@ -32,7 +32,7 @@ from repro.attestation.allowlist import GatingDecision
 from repro.browser.topics.manager import TopicsApiCall
 from repro.browser.topics.types import ApiCallType
 from repro.crawler.columnar import CallBuffers, VisitBuffers
-from repro.util.codec import FormatError, jsonl_values
+from repro.util.codec import FormatError, jsonl_values, located
 from repro.util.fsio import atomic_write_lines
 from repro.util.timeline import Timestamp
 
@@ -125,10 +125,8 @@ class VisitRecord:
     def from_json(cls, line: str) -> "VisitRecord":
         """Decode one JSONL line; :class:`FormatError` on a bad one."""
         buffers = VisitBuffers()
-        try:
+        with located("<record>"):
             buffers.append_row(json.loads(line))
-        except ValueError as exc:
-            raise FormatError("<record>", None, str(exc)) from None
         return buffers.record_at(0)
 
 

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.crawler.campaign import CrawlCampaign, CrawlReport, ProgressFn
 from repro.crawler.checkpoint import (
+    CheckpointError,
     CheckpointStore,
     MissingRange,
     RetryPolicy,
@@ -199,6 +200,7 @@ def execute_shard(
     checkpoint after the ``policy`` backoff.  Once the retry budget is
     spent it raises :class:`ShardFailedError` — or, with
     ``allow_partial``, returns the durable prefix as a degraded outcome.
+    A :class:`CheckpointError` is not a shard death and is raised as is.
     """
     policy = policy or RetryPolicy()
     retries: list[ShardRetryRecord] = []
@@ -241,6 +243,8 @@ def execute_shard(
         )
         try:
             result = campaign.run()
+        except CheckpointError:
+            raise  # a foreign or corrupt checkpoint reads the same on every retry
         except Exception as exc:  # noqa: BLE001 — any shard death is retryable
             if store is None:
                 raise

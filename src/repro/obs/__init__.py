@@ -20,17 +20,17 @@ package makes execution differences visible by construction:
   campaign's per-shard target and visit counts;
 * :mod:`repro.obs.bridge` — blocking delivery from crawl worker threads
   into an asyncio loop;
-* :mod:`repro.obs.formats` — fail-closed readers for stored telemetry;
 * :mod:`repro.obs.telemetry` — :class:`Telemetry`, the one handle
   instrumented components take, and the one fold of shard telemetry.
 
 :data:`Telemetry.OFF` bundles the three no-op recorders, so
 instrumentation-off adds nothing to the hot path beyond one attribute
-check.
+check.  Stored telemetry is read through :mod:`repro.util.codec`: a
+corrupt trace, span or metrics file raises its
+:class:`~repro.util.codec.FormatError` naming the file and the line.
 """
 
 from repro.obs.bridge import BlockingLoopBridge
-from repro.obs.formats import TelemetryFormatError
 from repro.obs.metrics import (
     HistogramData,
     MetricsRegistry,
@@ -89,7 +89,6 @@ __all__ = [
     "StragglerReport",
     "Telemetry",
     "TelemetryExport",
-    "TelemetryFormatError",
     "TraceEvent",
     "TraceMeta",
     "Tracer",

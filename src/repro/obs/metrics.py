@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from repro.obs.formats import read_json_file
+from repro.util.codec import NUMBER, check_fields, located, read_json_object
 
 #: Default histogram bucket upper bounds, in simulated seconds.
 DEFAULT_BUCKETS: tuple[float, ...] = (1, 2, 5, 10, 30, 60, 300, 1800)
@@ -318,31 +318,35 @@ class MetricsSnapshot:
         }
 
     @classmethod
-    def from_json(cls, payload: str) -> "MetricsSnapshot":
-        return cls.from_dict(json.loads(payload))
+    def from_dict(cls, data: object) -> "MetricsSnapshot":
+        """The inverse of :meth:`to_dict`; ``ValueError`` on a bad payload.
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricsSnapshot":
-        """The inverse of :meth:`to_dict`."""
-        counters = {
-            (item["name"], _labelset(item["labels"])): float(item["value"])
-            for item in data.get("counters", ())
-        }
-        gauges = {
-            (item["name"], _labelset(item["labels"])): float(item["value"])
-            for item in data.get("gauges", ())
-        }
-        histograms = {
-            (item["name"], _labelset(item["labels"])): HistogramData(
-                bounds=tuple(item["bounds"]),
-                bucket_counts=tuple(item["bucket_counts"]),
-                count=item["count"],
-                total=item["total"],
-                min=item["min"],
-                max=item["max"],
+        Each section may be absent; each entry must hold exactly its
+        kind's fields, with string label values.
+        """
+        check_fields(data, {}, dict.fromkeys(_SECTIONS, (list,)))
+
+        def series(section: str, fields: dict) -> Iterator[tuple]:
+            for item in data.get(section, ()):
+                check_fields(item, fields)
+                if not all(type(value) is str for value in item["labels"].values()):
+                    raise ValueError(f"{section}: a label value is not a string")
+                yield (item["name"], _labelset(item["labels"])), item
+
+        counters, gauges = (
+            {key: float(item["value"]) for key, item in series(name, _VALUE_FIELDS)}
+            for name in ("counters", "gauges")
+        )
+        histograms = {}
+        for key, item in series("histograms", _HISTOGRAM_FIELDS):
+            bounds, buckets = item["bounds"], item["bucket_counts"]
+            if not all(type(bound) in NUMBER for bound in bounds):
+                raise ValueError("field 'bounds' holds a non-number")
+            if len(buckets) != len(bounds) + 1 or {type(n) for n in buckets} - {int}:
+                raise ValueError("field 'bucket_counts' is not one count per bucket")
+            histograms[key] = HistogramData(
+                tuple(bounds), tuple(buckets), *(item[k] for k in _SUMMARY)
             )
-            for item in data.get("histograms", ())
-        }
         return cls(counters=counters, gauges=gauges, histograms=histograms)
 
     def save(self, path: str | Path) -> None:
@@ -352,8 +356,25 @@ class MetricsSnapshot:
 
     @classmethod
     def load(cls, path: str | Path) -> "MetricsSnapshot":
-        """Read a snapshot file, failing closed on a corrupt one."""
-        return read_json_file(path, cls.from_json)
+        """Read a snapshot file; :class:`~repro.util.codec.FormatError`
+        naming it on a corrupt one."""
+        data = read_json_object(path)
+        with located(path):
+            return cls.from_dict(data)
+
+
+#: The sections of a stored snapshot, and the fields of their entries.
+_SECTIONS = ("counters", "gauges", "histograms")
+_VALUE_FIELDS = {"name": (str,), "labels": (dict,), "value": NUMBER}
+_SUMMARY = ("count", "total", "min", "max")
+_HISTOGRAM_FIELDS = {
+    "name": (str,),
+    "labels": (dict,),
+    "bounds": (list,),
+    "bucket_counts": (list,),
+    "count": (int,),
+    **dict.fromkeys(_SUMMARY[1:], NUMBER),
+}
 
 
 class MetricsRegistry:

@@ -24,15 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.obs.formats import (
-    as_object,
-    is_int,
-    is_number,
-    is_str,
-    pop_fields,
-    read_jsonl_meta,
-    read_jsonl_records,
-)
+from repro.util.codec import NUMBER, check_fields, read_header, read_records
 from repro.util.fsio import BufferedLineWriter
 
 #: Default span-buffer capacity — a 50k-site double crawl records a
@@ -94,19 +86,21 @@ class Span:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "Span":
-        data = as_object(json.loads(line))
-        span_id, parent_id, name, start, end = pop_fields(
-            data,
-            {
-                "span_id": is_int,
-                "parent_id": lambda value: value is None or is_int(value),
-                "name": is_str,
-                "start": is_number,
-                "end": is_number,
-            },
-        )
-        return cls(span_id, parent_id, name, start, end, fields=data)
+    def from_dict(cls, data: object) -> "Span":
+        """The inverse of :meth:`to_json`'s object; ``ValueError`` on a bad one."""
+        fields = dict(check_fields(data, _SPAN_FIELDS, extra=True))
+        span_id, parent_id, name, start, end = map(fields.pop, _SPAN_FIELDS)
+        return cls(span_id, parent_id, name, start, end, fields)
+
+
+_SPAN_FIELDS = {
+    "span_id": (int,),
+    "parent_id": (int, type(None)),
+    "name": (str,),
+    "start": NUMBER,
+    "end": NUMBER,
+}
+_META_FIELDS = {"recorded": (int,), "dropped": (int,), "capacity": (int,)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,12 +308,12 @@ class SpanRecorder:
     @staticmethod
     def read_jsonl(path: str | Path) -> list[Span]:
         """Load spans written by :meth:`to_jsonl`; fails closed like traces."""
-        return read_jsonl_records(path, Span.from_json)
+        return read_records(path, Span.from_dict, skip='{"meta"')
 
     @staticmethod
     def read_meta(path: str | Path) -> SpanMeta | None:
-        meta = read_jsonl_meta(path, ("recorded", "dropped", "capacity"))
-        return SpanMeta(*meta) if meta is not None else None
+        meta = read_header(path, "meta", _META_FIELDS)
+        return SpanMeta(**meta) if meta is not None else None
 
     def to_chrome_trace(self, path: str | Path) -> None:
         """Export the tree as Chrome trace-event JSON (B/E duration pairs).

@@ -6,8 +6,7 @@ ring buffer (oldest events are dropped, and counted, once the buffer is
 full).  Traces export to JSONL and load back losslessly, so two runs of
 the "same" campaign can be diffed event-by-event.  Loading fails closed:
 a line that is not a well-formed event raises
-:class:`~repro.obs.formats.TelemetryFormatError` naming the file and
-the line.
+:class:`~repro.util.codec.FormatError` naming the file and the line.
 
 The default tracer everywhere is :data:`NULL_TRACER`, whose ``emit`` is
 a bare ``pass`` and whose ``enabled`` flag lets hot paths skip building
@@ -23,15 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
-from repro.obs.formats import (
-    as_object,
-    is_int,
-    is_number,
-    is_str,
-    pop_fields,
-    read_jsonl_meta,
-    read_jsonl_records,
-)
+from repro.util.codec import NUMBER, check_fields, read_header, read_records
 from repro.util.fsio import BufferedLineWriter
 from repro.util.timeline import Timestamp
 
@@ -97,12 +88,15 @@ class TraceEvent:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "TraceEvent":
-        data = as_object(json.loads(line))
-        seq, at, kind = pop_fields(
-            data, {"seq": is_int, "at": is_number, "kind": is_str}
-        )
-        return cls(seq=seq, at=at, kind=kind, fields=data)
+    def from_dict(cls, data: object) -> "TraceEvent":
+        """The inverse of :meth:`to_json`'s object; ``ValueError`` on a bad one."""
+        fields = dict(check_fields(data, _EVENT_FIELDS, extra=True))
+        seq, at, kind = map(fields.pop, _EVENT_FIELDS)
+        return cls(seq, at, kind, fields)
+
+
+_EVENT_FIELDS = {"seq": (int,), "at": NUMBER, "kind": (str,)}
+_META_FIELDS = {"emitted": (int,), "dropped": (int,), "capacity": (int,)}
 
 
 class Tracer:
@@ -201,17 +195,16 @@ class Tracer:
 
         Accepts traces with or without the leading meta line (the first
         trace format wrote none); use :meth:`read_meta` for the
-        bookkeeping.  Raises
-        :class:`~repro.obs.formats.TelemetryFormatError` on a malformed
-        line.
+        bookkeeping.  Raises :class:`~repro.util.codec.FormatError` on
+        a malformed line.
         """
-        return read_jsonl_records(path, TraceEvent.from_json)
+        return read_records(path, TraceEvent.from_dict, skip='{"meta"')
 
     @staticmethod
     def read_meta(path: str | Path) -> TraceMeta | None:
         """The meta line of a trace file, or ``None`` for legacy traces."""
-        meta = read_jsonl_meta(path, ("emitted", "dropped", "capacity"))
-        return TraceMeta(*meta) if meta is not None else None
+        meta = read_header(path, "meta", _META_FIELDS)
+        return TraceMeta(**meta) if meta is not None else None
 
 
 class NullTracer(Tracer):

@@ -10,29 +10,34 @@ history file.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
+
+from repro.util.codec import NUMBER, check_fields, read_records
 
 
 def load_history(path: str | Path | None) -> list[dict]:
     """Parse a ``history.jsonl`` file into its records, file order kept.
 
     Returns ``[]`` when the path is ``None``, missing, or empty.  Lines
-    that are blank are skipped; a malformed line raises (corruption, not
+    that are blank are skipped; a malformed line raises
+    :class:`~repro.util.codec.FormatError` naming it (corruption, not
     absence).
     """
-    if path is None:
+    if path is None or not Path(path).exists():
         return []
-    path = Path(path)
-    if not path.exists() or path.stat().st_size == 0:
-        return []
-    records = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        records.append(json.loads(line))
-    return records
+    return read_records(path, _history_record)
+
+
+def _history_record(value: object) -> dict:
+    """A decoded history line, if it holds a benchmark's typed record."""
+    record = check_fields(value, {"benchmark": (str,)}, _RECORD_FIELDS, extra=True)
+    return check_fields(record, {}, {metric_of(record): NUMBER}, extra=True)
+
+
+#: What the bench page reads of a record besides its benchmark and figure.
+_RECORD_FIELDS = {
+    "metric": (str,), "baseline": (int, float, type(None)), "commit": (str, type(None))
+}
 
 
 #: Throughput keys a history record may carry, in probe order.  Older

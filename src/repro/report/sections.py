@@ -847,31 +847,24 @@ def render_validation_page(artifacts: CrawlArtifacts, audit: AuditReport) -> str
             )
         )
     else:
-        verdict = "PASS" if metamorphic.get("ok") else "FAIL"
+        # The loader checked every field the writer gives the report.
+        relations = metamorphic["relations"]
         body = stat_tiles(
             [
-                ("verdict", verdict, ""),
-                ("sites", fmt_num(metamorphic.get("sites", 0)), "harness world"),
-                ("seed", str(metamorphic.get("seed", "—")), ""),
-                (
-                    "relations",
-                    fmt_num(len(metamorphic.get("relations", []))),
-                    "",
-                ),
+                ("verdict", "PASS" if metamorphic["ok"] else "FAIL", ""),
+                ("sites", fmt_num(metamorphic["sites"]), "harness world"),
+                ("seed", str(metamorphic["seed"]), ""),
+                ("relations", fmt_num(len(relations)), ""),
             ]
         )
         rows = [
             (
-                relation.get("relation", "?"),
-                "pass" if relation.get("passed") else "FAIL",
-                relation.get("description", ""),
-                (
-                    "; ".join(relation.get("details", [])[:2])
-                    if relation.get("details")
-                    else "—"
-                ),
+                relation["relation"],
+                "pass" if relation["passed"] else "FAIL",
+                relation["description"],
+                "; ".join(relation["details"][:2]) or "—",
             )
-            for relation in metamorphic.get("relations", [])
+            for relation in relations
         ]
         if rows:
             body += data_table(

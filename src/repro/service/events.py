@@ -91,22 +91,6 @@ class ServiceEvent:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ServiceEvent":
-        kind = str(data["kind"])
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown service event kind: {kind!r}")
-        return cls(
-            job_id=str(data["job_id"]),
-            seq=int(data["seq"]),
-            kind=kind,
-            payload=dict(data.get("payload", {})),
-        )
-
-    @classmethod
-    def from_json(cls, line: str) -> "ServiceEvent":
-        return cls.from_dict(json.loads(line))
-
 
 @dataclass
 class Subscription:
@@ -220,9 +204,3 @@ class EventBroker:
         subs = self._subs.get(sub.job_id)
         if subs is not None and sub in subs:
             subs.remove(sub)
-
-    def forget(self, job_id: str) -> None:
-        """Drop a job's log and detach its subscribers (job eviction)."""
-        for sub in self._subs.pop(job_id, ()):
-            sub.close()
-        self._logs.pop(job_id, None)

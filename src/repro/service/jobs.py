@@ -33,7 +33,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
-from repro.util.codec import FormatError, json_type, type_defect
+from repro.util.codec import check_fields, json_type, located, read_json_object
 from repro.util.fsio import atomic_write_text
 from repro.web.config import WorldConfig
 from repro.web.vantage import vantage_by_name
@@ -102,16 +102,30 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: object) -> "FaultSpec":
+        """A fault from its JSON object; :class:`JobSpecError` naming the
+        first unknown or mistyped field (nothing is coerced)."""
         if type(data) is not dict:
             raise JobSpecError(f"fault must be a JSON object, got {json_type(data)}")
+        try:
+            check_fields(data, {}, _FAULT_FIELDS)
+        except ValueError as exc:
+            raise JobSpecError(f"fault: {exc}") from None
+        points = data.get("points", [])
+        if not all(
+            type(pair) is list and len(pair) == 2 and {type(n) for n in pair} == {int}
+            for pair in points
+        ):
+            raise JobSpecError(
+                "fault: field 'points' must hold [attempt, position] integer pairs"
+            )
         return cls(
-            shard_index=int(data.get("shard_index", 0)),
-            points=tuple(
-                (int(attempt), int(position))
-                for attempt, position in data.get("points", ())
-            ),
-            kill_service=bool(data.get("kill_service", False)),
+            shard_index=data.get("shard_index", 0),
+            points=tuple((attempt, position) for attempt, position in points),
+            kill_service=data.get("kill_service", False),
         )
+
+
+_FAULT_FIELDS = {"shard_index": (int,), "points": (list,), "kill_service": (bool,)}
 
 
 #: JobSpec fields accepted from a submission payload (everything else is
@@ -254,13 +268,9 @@ class JobSpec:
             )
         kwargs = {key: value for key, value in data.items() if key != "fault"}
         fault = data.get("fault")
-        try:
-            return cls(
-                fault=FaultSpec.from_dict(fault) if fault is not None else None,
-                **kwargs,
-            )
-        except TypeError as exc:
-            raise JobSpecError(f"malformed job spec: {exc}") from exc
+        return cls(
+            fault=FaultSpec.from_dict(fault) if fault is not None else None, **kwargs
+        )
 
 
 @dataclass
@@ -291,15 +301,9 @@ class JobRecord:
         """The inverse of :meth:`to_dict`; ``ValueError`` on a bad record.
 
         Only ``job_id`` is required; every field present must have its
-        JSON type.
+        JSON type, and no other field may be.
         """
-        if type(data) is not dict:
-            raise ValueError(f"expected a JSON object, got {json_type(data)}")
-        if "job_id" not in data:
-            raise ValueError("missing field 'job_id'")
-        present = tuple(item for item in _RECORD_TYPES if item[0] in data)
-        if any(type(data[name]) not in types for name, types in present):
-            raise ValueError(type_defect(present, data))
+        check_fields(data, {"job_id": (str,)}, _RECORD_FIELDS)
         return cls(
             job_id=data["job_id"],
             spec=JobSpec.from_dict(data.get("spec", {})),
@@ -325,16 +329,15 @@ class JobRecord:
             self.spec = replace(self.spec, fault=None)
 
 
-#: (field, allowed JSON types) of a stored job record.
-_RECORD_TYPES = (
-    ("job_id", (str,)),
-    ("spec", (dict,)),
-    ("state", (str,)),
-    ("error", (str, type(None))),
-    ("resumed", (int,)),
-    ("archive_dir", (str, type(None))),
-    ("summary", (dict,)),
-)
+#: The optional fields of a stored job record, besides its ``job_id``.
+_RECORD_FIELDS = {
+    "spec": (dict,),
+    "state": (str,),
+    "error": (str, type(None)),
+    "resumed": (int,),
+    "archive_dir": (str, type(None)),
+    "summary": (dict,),
+}
 
 _JOB_ID_PATTERN = re.compile(r"^job-(\d{6})$")
 
@@ -385,10 +388,9 @@ class JobTable:
         path = self.job_dir(job_id) / self.RECORD_FILE
         if not path.exists():
             raise KeyError(f"no such job: {job_id}")
-        try:
-            return JobRecord.from_dict(json.loads(path.read_text(encoding="utf-8")))
-        except ValueError as exc:  # bad JSON, bad UTF-8 or a bad record
-            raise FormatError(path, None, str(exc)) from None
+        data = read_json_object(path)
+        with located(path):
+            return JobRecord.from_dict(data)
 
     def load_all(self) -> list[JobRecord]:
         """Every persisted job, sorted by id (= submission order)."""

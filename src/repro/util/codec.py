@@ -1,18 +1,21 @@
 """Fail-closed reading of stored JSON and JSONL.
 
-Every reader of an archive, survey or telemetry file raises one typed
+Every reader of a stored file — archives, the survey, telemetry,
+checkpoints, job records, bench history — raises one typed
 :class:`FormatError` naming the file, the line and the defect, instead
 of whatever the decoder or a constructor happened to raise.  The
 helpers here do the parts every such reader shares: splitting a file
-into numbered lines, decoding each line exactly once, and describing a
-wrong key set.
+into numbered lines, decoding each line exactly once, checking a
+decoded object's fields against a ``(name, JSON types)`` table, and
+placing a decoder's ``ValueError`` at its file and line.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import AbstractSet, Iterator
+from typing import AbstractSet, Callable, Iterator
 
 
 class FormatError(json.JSONDecodeError):
@@ -55,6 +58,47 @@ def json_type(value: object) -> str:
     return "object"
 
 
+#: A record's fields: each name with the types its value may have.  A
+#: value matches when ``type(value) in types``, so a boolean is never an
+#: integer and an integer is never a string.
+Fields = dict[str, tuple[type, ...]]
+
+#: The types of a JSON number, and of any JSON value.
+NUMBER = (int, float)
+ANY_JSON = (dict, list, str, int, float, bool, type(None))
+
+
+def check_fields(
+    value: object, required: Fields, optional: Fields | None = None, *, extra=False
+) -> dict:
+    """``value``, if it is an object with every ``required`` field, any
+    ``optional`` one, each of its table's types, and (unless ``extra``)
+    no other key; else ``ValueError`` naming the first defect."""
+    if type(value) is not dict:
+        raise ValueError(f"expected a JSON object, got {json_type(value)}")
+    present = {name: optional[name] for name in optional or () if name in value}
+    table = {**required, **present}
+    if not (table.keys() <= value.keys() if extra else value.keys() == table.keys()):
+        raise ValueError(key_defect(value.keys(), table.keys()))
+    if any(type(value[name]) not in types for name, types in table.items()):
+        raise ValueError(type_defect(tuple(table.items()), value))
+    return value
+
+
+@contextmanager
+def located(
+    path: str | Path, line: int | None = None, error: type[FormatError] = FormatError
+) -> Iterator[None]:
+    """Report a ``ValueError`` raised inside as ``error(path, line, reason)``;
+    a :class:`FormatError` already names its place and passes through."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise error(path, line, str(exc)) from None
+
+
 def type_defect(table: tuple, data: dict, prefix: str = "") -> str:
     """Why ``data`` does not match ``table``'s ``(field, allowed types)``."""
     for name, types in table:
@@ -71,12 +115,10 @@ def key_defect(found: AbstractSet[str], expected: AbstractSet[str]) -> str:
     return f"unexpected field {sorted(found - expected)[0]!r}"
 
 
-def numbered_lines(
-    path: str | Path, error: type[FormatError] = FormatError
-) -> Iterator[tuple[int, str]]:
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """``(line number, text)`` for each non-blank line of a UTF-8 file.
 
-    Bytes that are not UTF-8 raise ``error`` on the line that holds them.
+    Bytes that are not UTF-8 raise :class:`FormatError` on their line.
     """
     try:
         with Path(path).open("r", encoding="utf-8") as handle:
@@ -84,7 +126,8 @@ def numbered_lines(
                 if not line.isspace():
                     yield number, line
     except UnicodeDecodeError:
-        raise error(path, _first_undecodable_line(path), "not UTF-8 text") from None
+        line = _first_undecodable_line(path)
+        raise FormatError(path, line, "not UTF-8 text") from None
 
 
 def _first_undecodable_line(path: str | Path) -> int | None:
@@ -109,8 +152,33 @@ def jsonl_values(path: str | Path) -> Iterator[tuple[int, object]]:
         yield number, decode_line(path, number, line)
 
 
-def decode_line(path: str | Path, number: int, line: str) -> object:
-    """The value of line ``number`` of ``path``; :class:`FormatError` if malformed."""
+def read_records(path: str | Path, parse: Callable, skip: str | None = None) -> list:
+    """``parse(value)`` of each JSONL line but those starting with ``skip``
+    (a header), in file order; a ``ValueError`` is placed at its line."""
+    records = []
+    for number, line in numbered_lines(path):
+        if skip is None or not line.startswith(skip):
+            with located(path, number):
+                records.append(parse(decode_line(path, number, line)))
+    return records
+
+
+def read_header(path: str | Path, key: str, fields: Fields) -> dict | None:
+    """The ``fields`` object a file's first line wraps as ``{key: {...}}``,
+    or ``None`` when there is no such line (files written before it)."""
+    for number, line in numbered_lines(path):
+        if not line.startswith(f'{{"{key}"'):
+            return None
+        with located(path, number):
+            wrapper = check_fields(decode_line(path, number, line), {key: ANY_JSON})
+            return check_fields(wrapper[key], fields)
+    return None
+
+
+def decode_line(
+    path: str | Path, number: int, line: str, error: type[FormatError] = FormatError
+) -> object:
+    """The value of line ``number`` of ``path``; ``error`` if malformed."""
     try:
         value, end = scan_value(line, 0)
     except (StopIteration, ValueError):
@@ -121,18 +189,25 @@ def decode_line(path: str | Path, number: int, line: str) -> object:
         try:
             value = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise FormatError(path, number, f"malformed JSON ({exc.msg})") from None
+            raise error(path, number, f"malformed JSON ({exc.msg})") from None
     return value
 
 
-def read_json_object(path: str | Path) -> dict:
-    """A whole-file JSON document that must be one object."""
+def read_text(path: str | Path, error: type[FormatError] = FormatError) -> str:
+    """A whole UTF-8 file; ``error`` naming the first line that is not UTF-8."""
     try:
-        value = json.loads(Path(path).read_bytes().decode("utf-8"))
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError:
-        raise FormatError(path, None, "not UTF-8 text") from None
+        raise error(path, _first_undecodable_line(path), "not UTF-8 text") from None
+
+
+def read_json_object(path: str | Path, error: type[FormatError] = FormatError) -> dict:
+    """A whole-file JSON document that must be one object."""
+    text = read_text(path, error)
+    try:
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(path, exc.lineno, f"malformed JSON ({exc.msg})") from None
-    if not isinstance(value, dict):
-        raise FormatError(path, 1, f"expected a JSON object, got {json_type(value)}")
+        raise error(path, exc.lineno, f"malformed JSON ({exc.msg})") from None
+    if type(value) is not dict:
+        raise error(path, 1, f"expected a JSON object, got {json_type(value)}")
     return value

@@ -14,7 +14,6 @@ one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from repro.obs.metrics import MetricsSnapshot
 from repro.obs.spans import Span, SpanMeta, SpanRecorder
 from repro.obs.tracer import TraceEvent, TraceMeta, Tracer
 from repro.taxonomy.tree import TaxonomyTree, TopicNode, load_default_taxonomy
+from repro.util.codec import check_fields, located, read_json_object
 
 #: Artefact keys rules can depend on.
 ARTIFACT_DATASETS = "datasets"
@@ -144,7 +144,7 @@ class CrawlArtifacts:
 
         metamorphic_path = _resolve(metamorphic, source / METAMORPHIC_FILE)
         metamorphic_report = (
-            json.loads(metamorphic_path.read_text(encoding="utf-8"))
+            _read_metamorphic(metamorphic_path)
             if metamorphic_path is not None
             else None
         )
@@ -162,6 +162,27 @@ class CrawlArtifacts:
             metamorphic=metamorphic_report,
             taxonomy_entries=taxonomy_entries,
         )
+
+
+def _read_metamorphic(path: Path) -> dict:
+    """A saved metamorphic report, with the fields its writer gives it."""
+    report = read_json_object(path)
+    with located(path):
+        check_fields(report, _METAMORPHIC_FIELDS)
+        for relation in report["relations"]:
+            check_fields(relation, _RELATION_FIELDS)
+            if {type(detail) for detail in relation["details"]} - {str}:
+                raise ValueError("a relation detail is not a string")
+    return report
+
+
+#: :meth:`repro.validate.metamorphic.MetamorphicReport.to_json`'s fields.
+_METAMORPHIC_FIELDS = {
+    "sites": (int,), "seed": (int,), "ok": (bool,), "relations": (list,)
+}
+_RELATION_FIELDS = {
+    "relation": (str,), "description": (str,), "passed": (bool,), "details": (list,)
+}
 
 
 def _resolve(explicit: str | Path | None, conventional: Path) -> Path | None:

@@ -13,7 +13,6 @@ the manifest.  The result reuses the campaign auditor's
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.scenarios.engine import (
@@ -25,6 +24,7 @@ from repro.scenarios.engine import (
 )
 from repro.scenarios.matrix import baseline_cell, expand
 from repro.scenarios.spec import ScenarioSpec, ScenarioSpecError
+from repro.util.codec import FormatError, check_fields, located, read_json_object
 from repro.validate.engine import STATUS_OK, STATUS_VIOLATED, AuditReport, RuleOutcome
 from repro.validate.rules import Severity, Violation
 
@@ -98,30 +98,47 @@ def _load_manifest(
     rule = "sweep-manifest-readable"
     path = root / MANIFEST_FILE
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = read_json_object(path)
+        with located(path):
+            check_fields(manifest, _MANIFEST_FIELDS, extra=True)
+            for entry in manifest["cells"]:
+                check_fields(entry, _CELL_FIELDS, extra=True)
     except FileNotFoundError:
         sink.append(_violation(rule, f"missing {MANIFEST_FILE}", path=str(path)))
         return None, None
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, FormatError) as exc:
         sink.append(
             _violation(rule, f"unreadable {MANIFEST_FILE}: {exc}", path=str(path))
         )
         return None, None
     try:
-        spec = ScenarioSpec.from_dict(manifest.get("spec", {}))
+        spec = ScenarioSpec.from_dict(manifest["spec"])
     except ScenarioSpecError as exc:
         sink.append(_violation(rule, f"embedded spec is invalid: {exc}"))
         return manifest, None
-    if spec.digest() != manifest.get("spec_digest"):
+    if spec.digest() != manifest["spec_digest"]:
         sink.append(
             _violation(
                 rule,
                 "spec_digest does not match the embedded spec",
-                recorded=manifest.get("spec_digest"),
+                recorded=manifest["spec_digest"],
                 recomputed=spec.digest(),
             )
         )
     return manifest, spec
+
+
+#: What the sweep rules read of ``sweep.json`` and of each cell entry;
+#: the report carries more, which the rules do not need.
+_MANIFEST_FIELDS = {
+    "spec": (dict,), "spec_digest": (str,), "baseline": (str,), "cells": (list,)
+}
+_CELL_FIELDS = {
+    "cell_id": (str,),
+    "fingerprint": (str,),
+    "archive_digest": (str,),
+    "metrics": (dict,),
+}
 
 
 def _check_partition(
@@ -129,7 +146,7 @@ def _check_partition(
 ) -> None:
     rule = "sweep-cell-partition"
     expected = [cell.cell_id for cell in expand(spec)]
-    recorded = [entry.get("cell_id") for entry in manifest.get("cells", ())]
+    recorded = [entry["cell_id"] for entry in manifest["cells"]]
     for cell_id in expected:
         if cell_id not in recorded:
             sink.append(
@@ -154,8 +171,8 @@ def _check_baseline(
     spec: ScenarioSpec, manifest: dict, sink: list[Violation]
 ) -> None:
     rule = "sweep-baseline-cell"
-    recorded = manifest.get("baseline")
-    cells = {entry.get("cell_id") for entry in manifest.get("cells", ())}
+    recorded = manifest["baseline"]
+    cells = {entry["cell_id"] for entry in manifest["cells"]}
     if recorded not in cells:
         sink.append(
             _violation(
@@ -185,10 +202,7 @@ def _check_fingerprints(
     spec: ScenarioSpec, manifest: dict, sink: list[Violation]
 ) -> None:
     rule = "sweep-fingerprint-unique"
-    recorded = {
-        entry.get("cell_id"): entry.get("fingerprint")
-        for entry in manifest.get("cells", ())
-    }
+    recorded = {entry["cell_id"]: entry["fingerprint"] for entry in manifest["cells"]}
     seen: dict[str, str] = {}
     for cell_id, fingerprint in recorded.items():
         if fingerprint in seen:
@@ -217,8 +231,8 @@ def _check_fingerprints(
 
 def _check_archives(root: Path, manifest: dict, sink: list[Violation]) -> None:
     rule = "sweep-archive-integrity"
-    for entry in manifest.get("cells", ()):
-        cell_id = entry.get("cell_id")
+    for entry in manifest["cells"]:
+        cell_id = entry["cell_id"]
         cell_dir = root / CELLS_DIR / str(cell_id)
         missing = [
             name for name in ARCHIVE_FILES if not (cell_dir / name).exists()
@@ -234,14 +248,14 @@ def _check_archives(root: Path, manifest: dict, sink: list[Violation]) -> None:
             )
             continue
         recomputed = archive_digest(cell_dir)
-        if recomputed != entry.get("archive_digest"):
+        if recomputed != entry["archive_digest"]:
             sink.append(
                 _violation(
                     rule,
                     f"cell {cell_id}: archive bytes do not match the "
                     "recorded digest",
                     cell=cell_id,
-                    recorded=entry.get("archive_digest"),
+                    recorded=entry["archive_digest"],
                     recomputed=recomputed,
                 )
             )
@@ -249,12 +263,12 @@ def _check_archives(root: Path, manifest: dict, sink: list[Violation]) -> None:
 
 def _check_markers(root: Path, manifest: dict, sink: list[Violation]) -> None:
     rule = "sweep-marker-consistency"
-    for entry in manifest.get("cells", ()):
-        cell_id = entry.get("cell_id")
+    for entry in manifest["cells"]:
+        cell_id = entry["cell_id"]
         path = root / CELLS_DIR / str(cell_id) / CELL_MARKER_FILE
         try:
-            marker = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            marker = read_json_object(path)
+        except (OSError, FormatError):
             sink.append(
                 _violation(
                     rule,
@@ -264,7 +278,7 @@ def _check_markers(root: Path, manifest: dict, sink: list[Violation]) -> None:
             )
             continue
         for field_name in ("fingerprint", "archive_digest", "metrics"):
-            if marker.get(field_name) != entry.get(field_name):
+            if marker.get(field_name) != entry[field_name]:
                 sink.append(
                     _violation(
                         rule,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -27,6 +28,8 @@ from repro.crawler.checkpoint import (
     campaign_fingerprint,
 )
 from repro.crawler.columnar import VisitBuffers
+from repro.obs.metrics import MetricsRegistry
+from repro.util.codec import FormatError
 from repro.util.timeline import SimClock
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -125,7 +128,7 @@ class TestShardCheckpointFormat:
         record = json.loads(lines[5])
         del record["record"]["rank"]
         lines[5] = json.dumps(record)
-        with pytest.raises(CheckpointError, match=":6: malformed.*'rank'"):
+        with pytest.raises(CheckpointError, match="^ck.jsonl:6: missing field 'rank'$"):
             ShardCheckpoint.from_lines(lines, source="ck.jsonl")
 
     def test_truncated_file_rejected(self, tiny_world):
@@ -170,6 +173,23 @@ class TestShardCheckpointFormat:
         lines = _checkpoint_for(_browser_after_visits(tiny_world, 10)).to_lines()
         lines[0] = json.dumps({"checkpoint": [1]})
         with pytest.raises(CheckpointError, match="^ck.jsonl:1: .*got array"):
+            ShardCheckpoint.from_lines(lines, source="ck.jsonl")
+
+    def test_metrics_line_defect_names_line_four(self, tiny_world):
+        registry = MetricsRegistry()
+        registry.counter("visits")
+        checkpoint = dataclasses.replace(
+            _checkpoint_for(_browser_after_visits(tiny_world, 10)),
+            metrics=registry.snapshot(),
+        )
+        lines = checkpoint.to_lines()
+        assert ShardCheckpoint.from_lines(lines) == checkpoint
+        payload = json.loads(lines[3])
+        payload["metrics"]["counters"][0]["value"] = "12"
+        lines[3] = json.dumps(payload)
+        with pytest.raises(
+            CheckpointError, match="^ck.jsonl:4: field 'value' has the wrong type"
+        ):
             ShardCheckpoint.from_lines(lines, source="ck.jsonl")
 
     def test_tampered_state_rejected(self, tiny_world):
@@ -217,6 +237,35 @@ class TestCheckpointStore:
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
         with pytest.raises(CheckpointError):
             store.latest(1)
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ("[]", "expected a JSON object, got array"),
+            ('{"fingerprint": null}', "missing field 'shards'"),
+            ('{"fingerprint": [], "shards": {}}', "'fingerprint' has the wrong type"),
+            (
+                '{"fingerprint": null, "shards": {"0": {"latest": "x"}}}',
+                "missing field 'complete'",
+            ),
+        ],
+        ids=["array", "no-shards", "array-fingerprint", "short-entry"],
+    )
+    def test_malformed_manifest_names_the_file(self, tmp_path, content, reason):
+        path = tmp_path / MANIFEST_FILE
+        path.write_text(content)
+        store = CheckpointStore(tmp_path)
+        fingerprint = campaign_fingerprint(["a.com"], 1, True)
+        for read in (lambda: store.initialize(fingerprint), lambda: store.latest(0)):
+            with pytest.raises(CheckpointError, match=reason) as caught:
+                read()
+            assert caught.value.path == str(path)
+
+    def test_checkpoint_error_is_a_format_error_and_pickles(self):
+        error = CheckpointError("ck.jsonl", 4, "bad")
+        assert isinstance(error, FormatError)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is CheckpointError and str(copy) == "ck.jsonl:4: bad"
 
     def test_fingerprint_binding(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -273,17 +322,19 @@ class TestPartialManifest:
     @pytest.mark.parametrize(
         "text, pattern",
         [
-            ("{not json", "JSONDecodeError"),
-            ('{"missing_targets": 0}', "'missing_ranges'"),
-            ('{"missing_ranges": [{"shard": 0, "from_rank": 1, "to_rank": 5}]}',
-             "'error'"),
-            ('{"missing_ranges": ["0-5"]}', "TypeError"),
+            ("{not json", "malformed JSON"),
+            ('{"missing_targets": 0}', "missing field 'missing_ranges'"),
+            ('{"missing_ranges": [{"shard": 0, "from_rank": 1, "to_rank": 5}], '
+             '"missing_targets": 5}',
+             "missing field 'error'"),
+            ('{"missing_ranges": ["0-5"], "missing_targets": 5}',
+             "expected a JSON object, got string"),
         ],
     )
     def test_malformed_manifest_names_the_file(self, tmp_path, text, pattern):
         path = tmp_path / "partial.json"
         path.write_text(text)
-        with pytest.raises(CheckpointError, match=f"partial.json: .*{pattern}"):
+        with pytest.raises(CheckpointError, match=f"partial.json(:1)?: {pattern}"):
             PartialManifest.load(path)
 
     def test_range_count_inclusive(self):

@@ -174,6 +174,38 @@ class TestCommands:
         for name in sorted(p.name for p in first.iterdir()):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "defect", ["truncated-checkpoint", "array-manifest", "foreign-checkpoint"]
+    )
+    def test_crawl_resume_over_corrupt_checkpoints_names_the_file(
+        self, capsys, tmp_path, defect
+    ):
+        checkpoints = tmp_path / "checkpoints"
+        base = [
+            "crawl", "--sites", "300", "--shards", "2",
+            "--checkpoint-dir", str(checkpoints), "--checkpoint-every", "50",
+        ]
+        assert main(base + ["--out", str(tmp_path / "first")]) == 0
+        if defect == "truncated-checkpoint":
+            victim = sorted((checkpoints / "shard-00").glob("checkpoint-*.jsonl"))[-1]
+            victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+        elif defect == "array-manifest":
+            victim = checkpoints / "MANIFEST.json"
+            victim.write_text("[]\n")
+        else:  # shard 1 resumes from one of shard 0's checkpoints
+            import json
+
+            victim = checkpoints
+            manifest = json.loads((victim / "MANIFEST.json").read_text())
+            manifest["shards"]["1"]["latest"] = manifest["shards"]["0"]["latest"]
+            (victim / "MANIFEST.json").write_text(json.dumps(manifest))
+            for path in (victim / "shard-01").iterdir():
+                path.unlink()
+        capsys.readouterr()
+        code = main(base + ["--out", str(tmp_path / "second"), "--resume"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {victim}:")
+
     def test_crawl_checkpoint_dir_created(self, capsys, tmp_path):
         checkpoints = tmp_path / "checkpoints"
         assert main(
@@ -480,6 +512,17 @@ class TestSweepCommand:
         assert code == 0
         assert "RESULT: PASS" in audit_out
         assert "sweep-archive-integrity" in audit_out
+
+    @pytest.mark.parametrize(
+        "content", [b"[]\n", b'{"spec": "\xff"}\n'], ids=["array", "not-utf8"]
+    )
+    def test_validate_sweep_with_unreadable_manifest(self, capsys, tmp_path, content):
+        (tmp_path / "sweep.json").write_bytes(content)
+        code = main(["validate", str(tmp_path), "--sweep"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "FAIL sweep-manifest-readable" in out
+        assert f"unreadable sweep.json: {tmp_path / 'sweep.json'}:1: " in out
 
     def test_validate_sweep_requires_directory(self, capsys):
         code = main(["validate", "--sweep"])

@@ -1,5 +1,7 @@
 """Unit tests for the observability layer: tracer, metrics, round-trips."""
 
+import json
+
 import pytest
 
 from repro.analysis.obs_report import (
@@ -241,7 +243,7 @@ class TestSnapshotMerge:
         metrics.gauge("duration", 42)
         metrics.observe("seconds", 1.5)
         snapshot = metrics.snapshot()
-        restored = MetricsSnapshot.from_json(snapshot.to_json())
+        restored = MetricsSnapshot.from_dict(json.loads(snapshot.to_json()))
         assert restored.counters == snapshot.counters
         assert restored.gauges == snapshot.gauges
         assert restored.histograms == snapshot.histograms

@@ -12,9 +12,9 @@ from repro.obs import (
     SpanRecorder,
     Telemetry,
     TelemetryExport,
-    TelemetryFormatError,
     Tracer,
 )
+from repro.util.codec import FormatError
 
 
 def _live() -> Telemetry:
@@ -90,6 +90,15 @@ def _append(path, line):
         handle.write(line + "\n")
 
 
+def _histogram(**fields) -> str:
+    """A metrics file of one valid histogram, with ``fields`` replaced."""
+    entry = {
+        "name": "h", "labels": {}, "bounds": [1, 2], "bucket_counts": [1, 0, 0],
+        "count": 1, "total": 0.5, "min": 0.5, "max": 0.5,
+    }
+    return json.dumps({"histograms": [{**entry, **fields}]})
+
+
 class TestFailClosedReaders:
     @pytest.mark.parametrize(
         "line, reason",
@@ -104,7 +113,7 @@ class TestFailClosedReaders:
     def test_trace_names_file_and_line(self, tmp_path, line, reason):
         path = _trace_file(tmp_path)
         _append(path, line)
-        with pytest.raises(TelemetryFormatError, match=reason) as caught:
+        with pytest.raises(FormatError, match=reason) as caught:
             Tracer.read_jsonl(path)
         assert (caught.value.path, caught.value.line) == (str(path), 4)
         assert str(caught.value).startswith(f"{path}:4: ")
@@ -112,14 +121,14 @@ class TestFailClosedReaders:
     def test_trace_meta_must_hold_integers(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"meta": {"emitted": "many", "dropped": 0, "capacity": 1}}\n')
-        with pytest.raises(TelemetryFormatError, match="'emitted'") as caught:
+        with pytest.raises(FormatError, match="'emitted'") as caught:
             Tracer.read_meta(path)
         assert caught.value.line == 1
 
     def test_non_utf8_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_bytes(b'{"seq": 0, "at": 0, "kind": "\xff"}\n')
-        with pytest.raises(TelemetryFormatError, match="not UTF-8"):
+        with pytest.raises(FormatError, match="not UTF-8"):
             Tracer.read_jsonl(path)
 
     @pytest.mark.parametrize(
@@ -134,36 +143,52 @@ class TestFailClosedReaders:
     def test_spans_name_file_and_line(self, tmp_path, line):
         path = _span_file(tmp_path)
         _append(path, line)
-        with pytest.raises(TelemetryFormatError) as caught:
+        with pytest.raises(FormatError) as caught:
             SpanRecorder.read_jsonl(path)
         assert (caught.value.path, caught.value.line) == (str(path), 3)
 
     def test_span_meta_missing_field(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         path.write_text('{"meta": {"recorded": 1, "dropped": 0}}\n')
-        with pytest.raises(TelemetryFormatError, match="'capacity'"):
+        with pytest.raises(FormatError, match="'capacity'"):
             SpanRecorder.read_meta(path)
 
     @pytest.mark.parametrize(
         "payload, reason",
         [
             ('{"counters": [', "malformed JSON"),
-            ("[]", "object has no attribute"),
+            ("[]", "expected a JSON object"),
             ('{"counters": [{"name": "x"}]}', "missing field 'labels'"),
-            ('{"gauges": [{"name": "x", "labels": {}, "value": "high"}]}', "float"),
+            ('{"gauges": [{"name": "x", "labels": {}, "value": "high"}]}',
+             "wrong type"),
+            ('{"counters": [{"name": "x", "labels": {}, "value": "12"}]}',
+             "field 'value' has the wrong type"),
+            ('{"counters": [{"name": "x", "labels": {"a": 1}, "value": 1.0}]}',
+             "label value is not a string"),
+            ('{"counters": 5}', "field 'counters' has the wrong type"),
+            ('{"totals": []}', "unexpected field 'totals'"),
+            (_histogram(bounds="ab"), "field 'bounds' has the wrong type"),
+            (_histogram(bounds=["1"]), "'bounds' holds a non-number"),
+            (_histogram(count="z"), "field 'count' has the wrong type"),
+            (_histogram(total=None), "field 'total' has the wrong type"),
+            (_histogram(bucket_counts=[1]), "not one count per bucket"),
         ],
-        ids=["truncated", "array", "missing-field", "bad-value"],
+        ids=[
+            "truncated", "array", "missing-field", "bad-value", "string-value",
+            "int-label", "counters-number", "unknown-section", "string-bounds",
+            "string-bound", "string-count", "null-total", "short-buckets",
+        ],
     )
     def test_metrics_name_the_file(self, tmp_path, payload, reason):
         path = tmp_path / "metrics.json"
         path.write_text(payload)
-        with pytest.raises(TelemetryFormatError, match=reason) as caught:
+        with pytest.raises(FormatError, match=reason) as caught:
             MetricsSnapshot.load(path)
         assert caught.value.path == str(path)
 
     def test_format_error_is_a_decode_error_and_pickles(self):
-        assert issubclass(TelemetryFormatError, json.JSONDecodeError)
-        error = TelemetryFormatError("trace.jsonl", 3, "bad")
+        assert issubclass(FormatError, json.JSONDecodeError)
+        error = FormatError("trace.jsonl", 3, "bad")
         copy = pickle.loads(pickle.dumps(error))
         assert (copy.path, copy.line, copy.reason) == ("trace.jsonl", 3, "bad")
         assert str(copy) == "trace.jsonl:3: bad"

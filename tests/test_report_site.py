@@ -25,6 +25,7 @@ from repro.crawler.parallel import ShardedCrawl
 from repro.report.bench import history_series, load_history
 from repro.report.html import NAV_PAGES
 from repro.report.site import build_site, generate_report, resolve_history
+from repro.util.codec import FormatError
 from repro.validate.artifacts import CrawlArtifacts
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -214,6 +215,26 @@ class TestBenchPage:
         series = history_series(records)
         assert list(series) == ["a", "b"]
         assert [r["visits_per_second"] for r in series["b"]] == [1.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("[1, 2]", "expected a JSON object, got array"),
+            ('{"benchmark": 7}', "'benchmark' has the wrong type"),
+            ('{"benchmark": "b", "visits_per_second": "fast"}',
+             "'visits_per_second' has the wrong type"),
+            ('{"benchmark": "b", "commit": 7}', "'commit' has the wrong type"),
+        ],
+        ids=["array", "benchmark", "figure", "commit"],
+    )
+    def test_load_history_names_a_bad_line(self, tmp_path, line, reason):
+        history = tmp_path / "history.jsonl"
+        history.write_text(
+            '{"benchmark": "b", "visits_per_second": 1.0}\n' + line + "\n"
+        )
+        with pytest.raises(FormatError, match=reason) as caught:
+            load_history(history)
+        assert (caught.value.path, caught.value.line) == (str(history), 2)
 
     def test_load_history_tolerates_absence(self, tmp_path):
         assert load_history(None) == []

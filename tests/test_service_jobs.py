@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.service import JobRecord, JobSpec, JobSpecError, JobTable
+from repro.service import FaultSpec, JobRecord, JobSpec, JobSpecError, JobTable
 from repro.util.codec import FormatError
 
 
@@ -38,6 +38,30 @@ class TestJobSpecTypes:
     def test_non_object_fault_is_rejected(self):
         with pytest.raises(JobSpecError, match="fault must be a JSON object"):
             JobSpec.from_dict({"fault": [1]})
+
+    @pytest.mark.parametrize(
+        "fault, pattern",
+        [
+            ({"shard_index": 1.7}, "'shard_index' has the wrong type"),
+            ({"shard_index": True}, "'shard_index' has the wrong type"),
+            ({"kill_service": "no"}, "'kill_service' has the wrong type"),
+            ({"kill_service": 0}, "'kill_service' has the wrong type"),
+            ({"points": "1-5"}, "'points' has the wrong type"),
+            ({"points": [[True, "5"]]}, "'points' must hold"),
+            ({"points": [[1, 5, 9]]}, "'points' must hold"),
+            ({"points": [{"attempt": 1}]}, "'points' must hold"),
+            ({"shard": 1}, "unexpected field 'shard'"),
+        ],
+    )
+    def test_mistyped_fault_field_is_rejected(self, fault, pattern):
+        with pytest.raises(JobSpecError, match=f"fault: .*{pattern}"):
+            JobSpec.from_dict({"fault": fault})
+
+    def test_typed_fault_loads_as_written(self):
+        fault = {"shard_index": 1, "points": [[1, 5]], "kill_service": True}
+        spec = JobSpec.from_dict({"fault": fault})
+        assert spec.fault == FaultSpec(1, ((1, 5),), True)
+        assert spec.fault.to_dict() == fault
 
 
 class TestJobRecordFile:

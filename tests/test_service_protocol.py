@@ -160,8 +160,15 @@ class TestRoundTrips:
             (b'{"op": "submit", "spec": [1]}', "job spec must be a JSON object"),
             (b'{"op": "submit", "spec": ["sites"]}', "job spec must be a JSON object"),
             (b'{"op": "watch", "job_id": "job-000001", "since": [1]}', "int()"),
+            (
+                b'{"op": "submit", "spec": {"fault": {"kill_service": "no"}}}',
+                "fault: field 'kill_service' has the wrong type",
+            ),
         ],
-        ids=["array", "string", "array-spec", "name-list-spec", "array-since"],
+        ids=[
+            "array", "string", "array-spec", "name-list-spec", "array-since",
+            "mistyped-fault",
+        ],
     )
     def test_malformed_requests_get_an_error_reply(self, harness, line, error):
         reply = _raw_request(harness.socket_path, line)

@@ -89,6 +89,27 @@ class TestDefectiveSweeps:
         bad = outcome_of(audit, "sweep-manifest-readable")
         assert bad.status != STATUS_OK
 
+    @pytest.mark.parametrize(
+        "content", [b"[]", b'{"spec": "\xff"}'], ids=["array", "not-utf8"]
+    )
+    def test_unreadable_manifest_is_a_violation(self, tmp_path, content):
+        (tmp_path / "sweep.json").write_bytes(content)
+        audit = audit_sweep(tmp_path)
+        bad = outcome_of(audit, "sweep-manifest-readable")
+        assert bad.status != STATUS_OK
+        assert f"{tmp_path / 'sweep.json'}:1: " in bad.violations[0].message
+        assert audit.artifacts_available == ()
+
+    def test_non_object_cell_entry_is_a_violation(self, sweep_dir, tmp_path):
+        manifest = manifest_of(sweep_dir)
+        manifest["cells"][0] = 1
+        out = _copy_sweep(sweep_dir, tmp_path / "tampered")
+        rewrite_manifest(out, manifest)
+        audit = audit_sweep(out)
+        bad = outcome_of(audit, "sweep-manifest-readable")
+        assert bad.status != STATUS_OK
+        assert "expected a JSON object, got number" in bad.violations[0].message
+
     def test_spec_digest_mismatch(self, sweep_dir, tmp_path):
         manifest = manifest_of(sweep_dir)
         manifest["spec_digest"] = "0" * 16
