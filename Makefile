@@ -2,7 +2,7 @@
 
 PY ?= python3
 
-.PHONY: install test lint validate report bench bench-small bench-smoke bench-obs bench-spans bench-parallel bench-columnar bench-reid bench-service sweep-smoke serve-smoke ci study experiments examples clean
+.PHONY: install test lint validate report bench bench-small bench-smoke bench-obs bench-parallel bench-columnar bench-reid bench-service sweep-smoke serve-smoke ci study experiments examples clean
 
 install:
 	$(PY) setup.py develop
@@ -25,14 +25,10 @@ bench:
 bench-small:
 	REPRO_BENCH_SITES=6000 $(PY) -m pytest benchmarks/ --benchmark-only
 
-# Tracing overhead trajectory: crawl throughput with instrumentation
-# off (the no-op default) and on, side by side.
+# Telemetry overhead trajectory: crawl throughput with telemetry off
+# (the no-op default) and with the recorder and metrics on, side by side.
 bench-obs:
 	REPRO_BENCH_SITES=6000 $(PY) -m pytest benchmarks/bench_crawl_throughput.py --benchmark-only
-
-# Span-recording overhead: NULL_RECORDER baseline vs a live SpanRecorder.
-bench-spans:
-	REPRO_BENCH_SITES=6000 $(PY) -m pytest benchmarks/bench_crawl_throughput.py -k spans --benchmark-only
 
 # Execution-backend matrix: serial vs thread vs process at 1/2/4/8
 # workers, with per-cell speedup over the sequential protocol.

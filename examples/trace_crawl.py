@@ -9,7 +9,8 @@ four workers — with full instrumentation on, then:
 2. cross-checks the two metric snapshots counter-by-counter (any
    divergence means the sharded merge changed the protocol — the class
    of bug this layer exists to catch);
-3. peeks at the structured event trace and writes it to JSONL.
+3. peeks at the structured event trace the recorder derives from its
+   rows, and writes it to JSONL.
 
 Usage::
 
@@ -29,7 +30,7 @@ from repro.analysis.obs_report import (
 )
 from repro.crawler.campaign import CrawlCampaign
 from repro.crawler.crawl import Crawl
-from repro.obs import EventKind, MetricsRegistry, Telemetry, Tracer
+from repro.obs import EventKind, MetricsRegistry, Recorder, Telemetry
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
 
@@ -40,22 +41,22 @@ def main() -> None:
     world = WebGenerator(WorldConfig.small(site_count, seed=1)).generate()
 
     print("Sequential campaign (instrumented) ...")
-    seq_tracer, seq_metrics = Tracer(), MetricsRegistry()
+    seq_metrics = MetricsRegistry()
     started = time.time()
     CrawlCampaign(
         world,
         corrupt_allowlist=True,
-        telemetry=Telemetry(tracer=seq_tracer, metrics=seq_metrics),
+        telemetry=Telemetry(Recorder(), seq_metrics),
     ).run()
     print(f"  done in {time.time() - started:.1f}s wall-clock")
 
     print("Sharded campaign, 4 shards (instrumented) ...")
-    shard_tracer, shard_metrics = Tracer(), MetricsRegistry()
+    shard_recorder, shard_metrics = Recorder(), MetricsRegistry()
     started = time.time()
     Crawl(
         world,
         shard_count=4,
-        telemetry=Telemetry(tracer=shard_tracer, metrics=shard_metrics),
+        telemetry=Telemetry(shard_recorder, shard_metrics),
     ).run()
     print(f"  done in {time.time() - started:.1f}s wall-clock")
 
@@ -80,16 +81,17 @@ def main() -> None:
         EventKind.BANNER_INTERACTION,
         EventKind.SHARD_MERGED,
     ):
-        events = shard_tracer.events(kind)
+        events = shard_recorder.events(kind)
         if events:
             print(f"  {kind.value:<20} x{len(events):<6} e.g. {events[0].fields}")
 
     trace_path = Path(tempfile.gettempdir()) / "repro_trace.jsonl"
-    shard_tracer.to_jsonl(trace_path)
+    shard_recorder.write(trace=trace_path)
+    meta = shard_recorder.trace_meta()
     print()
     print(
-        f"Wrote {len(shard_tracer):,} events to {trace_path} "
-        f"({shard_tracer.dropped:,} dropped by the ring buffer)."
+        f"Wrote {meta.emitted - meta.dropped:,} events to {trace_path} "
+        f"({meta.dropped:,} dropped by the ring buffer)."
     )
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.metrics import MetricsSnapshot, format_series
-from repro.obs.tracer import TraceMeta, Tracer
+from repro.obs.trace import TraceMeta, read_trace_meta
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def load_trace_meta(path: str | Path | None) -> tuple[bool, TraceMeta | None]:
     path = Path(path)
     if not path.exists() or path.stat().st_size == 0:
         return False, None
-    return True, Tracer.read_meta(path)
+    return True, read_trace_meta(path)
 
 
 def render_trace_section(path: str | Path | None) -> str:

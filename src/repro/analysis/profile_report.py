@@ -9,7 +9,7 @@ merged ``finished_at``, and why), and the most expensive visits.
 Usage from the CLI (``repro crawl --span-out spans.jsonl`` writes the
 input) or programmatically::
 
-    spans = SpanRecorder.read_jsonl("spans.jsonl")
+    spans = read_spans("spans.jsonl")
     print(render_profile(build_profile(spans)))
 """
 
@@ -23,7 +23,7 @@ from repro.obs.profile import (
     CampaignProfile,
     build_profile,
 )
-from repro.obs.spans import Span, SpanMeta, SpanRecorder
+from repro.obs.spans import Span, SpanMeta, read_span_meta, read_spans
 
 
 def _fmt_seconds(value: float) -> str:
@@ -135,7 +135,7 @@ def load_spans(
     path = Path(path)
     if not path.exists() or path.stat().st_size == 0:
         return None, None
-    return SpanRecorder.read_jsonl(path), SpanRecorder.read_meta(path)
+    return read_spans(path), read_span_meta(path)
 
 
 def render_profile_section(spans: Iterable[Span] | None, top_n: int = 10) -> str:

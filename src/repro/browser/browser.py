@@ -7,8 +7,8 @@ Topics manager.  :meth:`Browser.visit` performs one page load end to end —
 redirects, resource fetches, consent gating, script execution, iframe
 contexts — by replaying the page's compiled
 :class:`~repro.browser.plan.SitePlan`, and returns everything the paper's
-crawler records about it.  Tracing, metrics and span recording only
-observe the replay; they never change which path a visit takes.
+crawler records about it.  The recorder and metrics only observe the
+replay; they never change which path a visit takes.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from repro.browser.context import ScriptOriginMode
 from repro.browser.cookies import Cookie, CookieJar, CookieTracker
 from repro.browser.network import BrowserCache
 from repro.browser.failures import failure_kind_for
-from repro.browser.topics.api import instrument_topics_call
+from repro.browser.topics.api import instrument_topics_call, topics_call_fields
 from repro.browser.topics.manager import BrowsingTopicsSiteDataManager, TopicsApiCall
 from repro.browser.topics.selection import EpochTopicsSelector
 from repro.obs import EventKind, Telemetry
+from repro.obs.recorder import Row
 from repro.obs.spans import SPAN_NAVIGATE, SPAN_SCRIPT_EXEC, SPAN_TOPICS_CALL
 from repro.taxonomy.classifier import SiteClassifier
 from repro.util.text import stable_digest
@@ -100,11 +101,10 @@ class Browser:
         telemetry: Telemetry = Telemetry.OFF,
     ) -> None:
         self._world = world
-        # Unpacked once: a visit reads the handles directly.
-        self._telemetry = telemetry
-        self._tracer = telemetry.tracer
+        # Unpacked once: with telemetry off, a visit checks one flag.
+        self._recorder = telemetry.recorder
         self._metrics = telemetry.metrics
-        self._spans = telemetry.spans
+        self._instrumented = telemetry.recorder.enabled or telemetry.metrics.enabled
         self.clock = clock if clock is not None else SimClock()
         self.consent = ConsentLedger()
         self.cookie_jar = CookieJar(third_party_cookies_enabled=third_party_cookies)
@@ -251,90 +251,33 @@ class Browser:
 
     # -- instrumentation ------------------------------------------------------------
 
-    def _trace_failed_visit(
-        self, domain: str, error: str, load_seconds: int
-    ) -> None:
-        self._metrics.counter("browser_visits_total", outcome="failed")
-        self._metrics.counter("browser_failures_total", kind=error)
-        self._metrics.observe("visit_seconds", load_seconds, outcome="failed")
-        self._tracer.emit(
-            EventKind.VISIT_FINISHED,
-            at=self.clock.now(),
-            domain=domain,
-            ok=False,
-            error=error,
-            load_seconds=load_seconds,
-        )
-
-    def _record_failed_stage(
-        self, domain: str, error: str, load_seconds: int
-    ) -> None:
-        """A failed load spends its whole window failing to navigate."""
-        end = float(self.clock.now())
-        self._spans.record(
-            SPAN_NAVIGATE,
-            end - load_seconds,
-            end,
-            domain=domain,
-            ok=False,
-            error=error,
-        )
-
-    def _record_stage_spans(
+    def _record_failed_visit(
         self,
         domain: str,
+        error: str,
         load_seconds: int,
-        fetches: int,
-        scripts_run: int,
-        calls: tuple,
-        redirected: bool,
+        transient: bool | None = None,
+        attempt: int | None = None,
     ) -> None:
-        """Carve the visit's load window into per-stage spans.
+        """Count a failed load and record it as one row.
 
-        The simulated clock paces whole visits (1–2 s each), so stage
-        boundaries inside the window are apportioned from the visit's
-        actual work mix — resource fetches, script executions, Topics
-        calls — keeping the profile deterministic and the tree exactly
-        within the visit interval.
+        ``attempt`` is set for an injected failure (an unreachable site),
+        which traces a ``failure-injected`` event too.
         """
-        end = float(self.clock.now())
-        start = end - load_seconds
-        nav_work = 1.0 + 0.25 * fetches
-        script_work = 0.5 * scripts_run
-        topics_work = 0.1 * len(calls)
-        total = nav_work + script_work + topics_work
-        nav_end = start + load_seconds * (nav_work / total)
-        script_end = start + load_seconds * ((nav_work + script_work) / total)
-        if not scripts_run and not calls:
-            nav_end = end
-        if scripts_run and not calls:
-            script_end = end
-        self._spans.record(
-            SPAN_NAVIGATE,
-            start,
-            nav_end,
-            domain=domain,
-            fetches=fetches,
-            redirected=redirected,
-        )
-        if scripts_run:
-            self._spans.record(
-                SPAN_SCRIPT_EXEC, nav_end, script_end, scripts=scripts_run
+        metrics = self._metrics
+        metrics.counter("browser_visits_total", outcome="failed")
+        metrics.counter("browser_failures_total", kind=error)
+        metrics.observe("visit_seconds", load_seconds, outcome="failed")
+        if self._recorder.enabled:
+            now = self.clock.now()
+            self._recorder.moment(
+                _derive_failed_visit,
+                now - load_seconds,
+                now,
+                (domain, self._visit_counter, error, transient, attempt),
+                events=2 if attempt is None else 3,
+                spans=1,
             )
-        if calls:
-            per_call = (end - script_end) / len(calls)
-            cursor = script_end
-            for index, call in enumerate(calls):
-                call_end = end if index == len(calls) - 1 else cursor + per_call
-                self._spans.record(
-                    SPAN_TOPICS_CALL,
-                    cursor,
-                    call_end,
-                    caller=call.caller,
-                    call_type=call.call_type.value,
-                    decision=call.decision.value,
-                )
-                cursor = call_end
 
     # -- navigation -----------------------------------------------------------------
 
@@ -349,21 +292,11 @@ class Browser:
         # 50k-site double crawl in about a day, as in the paper.
         load_seconds = 1 + stable_digest("visit", str(self._visit_counter)) % 2
         self.clock.advance(load_seconds)
-        instrumented = self._tracer.enabled or self._metrics.enabled
-        if instrumented:
-            self._tracer.emit(
-                EventKind.VISIT_STARTED,
-                at=self.clock.now(),
-                domain=domain,
-                visit_index=self._visit_counter,
-            )
 
         site = self._world.resolve(domain)
         if site is None:
-            if instrumented:
-                self._trace_failed_visit(domain, ERROR_UNKNOWN_HOST, load_seconds)
-            if self._spans.enabled:
-                self._record_failed_stage(domain, ERROR_UNKNOWN_HOST, load_seconds)
+            if self._instrumented:
+                self._record_failed_visit(domain, ERROR_UNKNOWN_HOST, load_seconds)
             return VisitOutcome(
                 requested_domain=domain, ok=False, error=ERROR_UNKNOWN_HOST
             )
@@ -372,18 +305,14 @@ class Browser:
             # Transient timeouts recover on a subsequent attempt.
             if not (site.transient_failure and self._failed_attempts[domain] >= 2):
                 kind = failure_kind_for(domain, site.transient_failure)
-                if instrumented:
-                    self._tracer.emit(
-                        EventKind.FAILURE_INJECTED,
-                        at=self.clock.now(),
-                        domain=domain,
-                        failure_kind=kind.value,
-                        transient=site.transient_failure,
-                        attempt=self._failed_attempts[domain],
+                if self._instrumented:
+                    self._record_failed_visit(
+                        domain,
+                        kind.value,
+                        load_seconds,
+                        site.transient_failure,
+                        self._failed_attempts[domain],
                     )
-                    self._trace_failed_visit(domain, kind.value, load_seconds)
-                if self._spans.enabled:
-                    self._record_failed_stage(domain, kind.value, load_seconds)
                 return VisitOutcome(
                     requested_domain=domain, ok=False, error=kind.value
                 )
@@ -410,16 +339,12 @@ class Browser:
         inserts, cookie impressions, Topics calls and observations, in
         page order — reading every static decision (which tags run, who
         calls, how often) from the plan, then reports the visit to the
-        tracer, metrics and span recorder.  Reachable sites only; the
-        caller has already resolved reachability, retries and consent.
+        metrics and the recorder.  Reachable sites only; the caller has
+        already resolved reachability, retries and consent.
         """
         plan = self._planner.plan_for(domain, consent_granted)
         manager = self.topics_manager
         tracker = self.cookie_tracker
-        telemetry = self._telemetry
-        tracer = self._tracer
-        metrics = self._metrics
-        instrumented = tracer.enabled or metrics.enabled
         now = self.clock.now()
         page_domain = plan.page_domain
 
@@ -455,32 +380,38 @@ class Browser:
                 manager.handle_topics_call(
                     call.caller_host, page_domain, call.call_type, now, observe=observe
                 )
-                if instrumented:
-                    instrument_topics_call(telemetry, manager.last_call)
                 if not observe and manager.last_call.decision.allowed:
                     manager.record_caller_observation(
                         call.caller_host, page_domain, now
                     )
 
         calls = tuple(manager.drain_calls_since(call_mark))
-        if self._spans.enabled:
-            self._record_stage_spans(
-                domain, load_seconds, plan.fetches, plan.scripts_run, calls, redirected
-            )
-        if instrumented:
+        if self._instrumented:
+            metrics = self._metrics
             metrics.counter("browser_visits_total", outcome="ok")
             metrics.observe("visit_seconds", load_seconds, outcome="ok")
-            tracer.emit(
-                EventKind.VISIT_FINISHED,
-                at=now,
-                domain=domain,
-                ok=True,
-                final_domain=page_domain,
-                consent_granted=consent_granted,
-                third_parties=len(plan.third_parties),
-                topics_calls=len(calls),
-                load_seconds=load_seconds,
-            )
+            if metrics.enabled:
+                for call in calls:
+                    instrument_topics_call(metrics, call)
+            if self._recorder.enabled:
+                self._recorder.moment(
+                    _derive_visit,
+                    now - load_seconds,
+                    now,
+                    (
+                        domain,
+                        self._visit_counter,
+                        page_domain,
+                        consent_granted,
+                        len(plan.third_parties),
+                        plan.fetches,
+                        plan.scripts_run,
+                        calls,
+                        redirected,
+                    ),
+                    events=2 + len(calls),
+                    spans=1 + (plan.scripts_run > 0) + len(calls),
+                )
         return VisitOutcome(
             requested_domain=domain,
             ok=True,
@@ -496,3 +427,108 @@ class Browser:
             detected_cmp=plan.cmp,
             topics_calls=calls,
         )
+
+
+# -- derived telemetry -------------------------------------------------------------
+
+
+def _derive_failed_visit(row: Row) -> None:
+    """A failed load: its trace events, and a window spent failing to navigate."""
+    domain, visit_index, error, transient, attempt = row.payload
+    at = row.end
+    started = {"domain": domain, "visit_index": visit_index}
+    row.event(EventKind.VISIT_STARTED.value, at, started)
+    if attempt is not None:
+        row.event(
+            EventKind.FAILURE_INJECTED.value,
+            at,
+            {
+                "domain": domain,
+                "failure_kind": error,
+                "transient": transient,
+                "attempt": attempt,
+            },
+        )
+    failed = {"domain": domain, "ok": False, "error": error}
+    row.event(
+        EventKind.VISIT_FINISHED.value, at, {**failed, "load_seconds": at - row.start}
+    )
+    row.span(SPAN_NAVIGATE, row.start, at, failed)
+
+
+def _derive_visit(row: Row) -> None:
+    """A completed visit: its trace events, and its load window carved into stages.
+
+    The simulated clock paces whole visits (1–2 s each), so stage
+    boundaries inside the window are apportioned from the visit's actual
+    work mix — resource fetches, script executions, Topics calls —
+    keeping the profile deterministic and the tree exactly within the
+    visit interval.
+    """
+    (
+        domain,
+        visit_index,
+        final_domain,
+        consent_granted,
+        third_parties,
+        fetches,
+        scripts_run,
+        calls,
+        redirected,
+    ) = row.payload
+    at = row.end
+    load_seconds = at - row.start
+    started = {"domain": domain, "visit_index": visit_index}
+    row.event(EventKind.VISIT_STARTED.value, at, started)
+    for call in calls:
+        row.event(EventKind.TOPICS_CALL.value, call.at, topics_call_fields(call))
+    row.event(
+        EventKind.VISIT_FINISHED.value,
+        at,
+        {
+            "domain": domain,
+            "ok": True,
+            "final_domain": final_domain,
+            "consent_granted": consent_granted,
+            "third_parties": third_parties,
+            "topics_calls": len(calls),
+            "load_seconds": load_seconds,
+        },
+    )
+
+    end = float(at)
+    start = end - load_seconds
+    nav_work = 1.0 + 0.25 * fetches
+    script_work = 0.5 * scripts_run
+    topics_work = 0.1 * len(calls)
+    total = nav_work + script_work + topics_work
+    nav_end = start + load_seconds * (nav_work / total)
+    script_end = start + load_seconds * ((nav_work + script_work) / total)
+    if not scripts_run and not calls:
+        nav_end = end
+    if scripts_run and not calls:
+        script_end = end
+    row.span(
+        SPAN_NAVIGATE,
+        start,
+        nav_end,
+        {"domain": domain, "fetches": fetches, "redirected": redirected},
+    )
+    if scripts_run:
+        row.span(SPAN_SCRIPT_EXEC, nav_end, script_end, {"scripts": scripts_run})
+    if calls:
+        per_call = (end - script_end) / len(calls)
+        cursor = script_end
+        for index, call in enumerate(calls):
+            call_end = end if index == len(calls) - 1 else cursor + per_call
+            row.span(
+                SPAN_TOPICS_CALL,
+                cursor,
+                call_end,
+                {
+                    "caller": call.caller,
+                    "call_type": call.call_type.value,
+                    "decision": call.decision.value,
+                },
+            )
+            cursor = call_end

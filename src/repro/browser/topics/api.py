@@ -24,7 +24,7 @@ from repro.browser.topics.headers import (
 )
 from repro.browser.topics.manager import BrowsingTopicsSiteDataManager, TopicsApiCall
 from repro.browser.topics.types import ApiCallType, Topic
-from repro.obs import EventKind, Telemetry
+from repro.obs import MetricsRegistry
 from repro.util.timeline import Timestamp
 from repro.util.urls import Url
 
@@ -39,29 +39,27 @@ _CONTEXT_LABEL = {
 }
 
 
-def instrument_topics_call(telemetry: Telemetry, call: TopicsApiCall) -> None:
-    """Count and trace one logged call, with its gating classification.
-
-    The one shape of the ``TOPICS_CALL`` event and ``topics_calls_total``
-    series, shared by :class:`TopicsApi` and the browser's plan replay.
-    """
-    telemetry.metrics.counter(
+def instrument_topics_call(metrics: MetricsRegistry, call: TopicsApiCall) -> None:
+    """Count one logged call in ``topics_calls_total``, by type and decision."""
+    metrics.counter(
         "topics_calls_total",
         type=call.call_type.value,
         decision=call.decision.value,
     )
-    telemetry.tracer.emit(
-        EventKind.TOPICS_CALL,
-        at=call.at,
-        caller=call.caller,
-        caller_host=call.caller_host,
-        site=call.site,
-        call_type=call.call_type.value,
-        caller_context=f"{_CONTEXT_LABEL[call.call_type]}:{call.caller_host}",
-        decision=call.decision.value,
-        allowed=call.allowed,
-        topics_returned=call.topics_returned,
-    )
+
+
+def topics_call_fields(call: TopicsApiCall) -> dict:
+    """The ``topics-call`` trace event's payload: a call and its gating class."""
+    return {
+        "caller": call.caller,
+        "caller_host": call.caller_host,
+        "site": call.site,
+        "call_type": call.call_type.value,
+        "caller_context": f"{_CONTEXT_LABEL[call.call_type]}:{call.caller_host}",
+        "decision": call.decision.value,
+        "allowed": call.allowed,
+        "topics_returned": call.topics_returned,
+    }
 
 
 @dataclass(frozen=True)
@@ -81,19 +79,8 @@ class FetchWithTopicsResult:
 class TopicsApi:
     """The surface page script interacts with, bound to one manager."""
 
-    def __init__(
-        self,
-        manager: BrowsingTopicsSiteDataManager,
-        telemetry: Telemetry = Telemetry.OFF,
-    ) -> None:
+    def __init__(self, manager: BrowsingTopicsSiteDataManager) -> None:
         self._manager = manager
-        self._telemetry = telemetry
-
-    def _instrument_last_call(self) -> None:
-        """Trace the call the manager just logged, with its classification."""
-        telemetry = self._telemetry
-        if telemetry.tracer.enabled or telemetry.metrics.enabled:
-            instrument_topics_call(telemetry, self._manager.last_call)
 
     def document_browsing_topics(
         self,
@@ -114,7 +101,6 @@ class TopicsApi:
             now=now,
             observe=not skip_observation,
         )
-        self._instrument_last_call()
         return topics
 
     def fetch_with_topics(
@@ -140,7 +126,6 @@ class TopicsApi:
             now=now,
             observe=False,
         )
-        self._instrument_last_call()
         observed = False
         if observe_requested(response_observe_header) and self._manager.last_call.allowed:
             self._manager.record_caller_observation(
@@ -170,7 +155,6 @@ class TopicsApi:
             now=now,
             observe=False,
         )
-        self._instrument_last_call()
         if observe_requested(response_observe_header) and self._manager.last_call.allowed:
             self._manager.record_caller_observation(
                 src.host, parent.top_frame_site, now

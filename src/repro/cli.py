@@ -35,7 +35,7 @@ from repro.analysis.export import export_study
 from repro.analysis.questionable import figure5
 from repro.crawler.archive import load_crawl, save_crawl
 from repro.crawler.campaign import CrawlCampaign
-from repro.crawler.checkpoint import RetryPolicy
+from repro.crawler.checkpoint import CheckpointStore, RetryPolicy
 from repro.crawler.crawl import Crawl
 from repro.crawler.executor import plan_shards
 from repro.crawler.wellknown import probe_domain
@@ -98,23 +98,18 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         render_trace_health,
     )
     from repro.analysis.profile_report import profile_spans
-    from repro.obs import (
-        MetricsRegistry,
-        ProgressTracker,
-        SpanRecorder,
-        Telemetry,
-        Tracer,
-    )
+    from repro.obs import MetricsRegistry, ProgressTracker, Recorder, Telemetry
 
+    # --trace-out reports metrics too; a span file or Chrome trace prints
+    # the span profile.
     instrument = bool(args.trace_out or args.metrics_out)
-    recording = bool(args.span_out or args.chrome_trace_out)
+    profiled = bool(args.span_out or args.chrome_trace_out)
     off = Telemetry.OFF
     telemetry = Telemetry(
-        tracer=Tracer() if instrument else off.tracer,
+        recorder=Recorder() if args.trace_out or profiled else off.recorder,
         metrics=MetricsRegistry() if instrument else off.metrics,
-        spans=SpanRecorder() if recording else off.spans,
     )
-    tracer, metrics, spans = telemetry.tracer, telemetry.metrics, telemetry.spans
+    recorder, metrics = telemetry.recorder, telemetry.metrics
 
     world = WebGenerator(_world_config(args)).generate()
     tracker = None
@@ -125,6 +120,14 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
         tracker = ProgressTracker(
             sum(sizes.values()), shard_sizes=sizes if len(sizes) > 1 else None
         )
+        if args.resume and args.checkpoint_dir:
+            # Restored visits stay out of the rate and the ETA.
+            store = CheckpointStore(args.checkpoint_dir)
+            for shard in sizes:
+                checkpoint = store.latest(shard)
+                if checkpoint is not None:
+                    report = checkpoint.report
+                    tracker.resumed(shard, report.completed, report.visits)
     crawl = Crawl(
         world,
         checkpoint_dir=args.checkpoint_dir or None,
@@ -165,19 +168,25 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             f"PARTIAL campaign: {partial.missing_targets:,} targets missing "
             f"across {len(partial.missing)} range(s); see {partial_path}"
         )
+    recorder.write(
+        trace=args.trace_out or None,
+        spans=args.span_out or None,
+        chrome=args.chrome_trace_out or None,
+    )
     if args.trace_out:
-        tracer.to_jsonl(args.trace_out)
-        print(f"wrote {len(tracer):,} trace events to {args.trace_out}")
-        if tracer.dropped:
-            print(render_trace_health(tracer.meta()))
+        trace_meta = recorder.trace_meta()
+        held = trace_meta.emitted - trace_meta.dropped
+        print(f"wrote {held:,} trace events to {args.trace_out}")
+        if trace_meta.dropped:
+            print(render_trace_health(trace_meta))
     if args.metrics_out:
         metrics.snapshot().save(args.metrics_out)
         print(f"wrote metrics snapshot to {args.metrics_out}")
     if args.span_out:
-        spans.to_jsonl(args.span_out)
-        print(f"wrote {len(spans):,} spans to {args.span_out}")
+        span_meta = recorder.span_meta()
+        held = span_meta.recorded - span_meta.dropped
+        print(f"wrote {held:,} spans to {args.span_out}")
     if args.chrome_trace_out:
-        spans.to_chrome_trace(args.chrome_trace_out)
         print(
             f"wrote Chrome trace to {args.chrome_trace_out} "
             "(load in chrome://tracing or Perfetto)"
@@ -185,9 +194,9 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     if instrument:
         print()
         print(render_metrics_report(build_metrics_report(metrics.snapshot())))
-    if recording:
+    if profiled:
         print()
-        print(profile_spans(spans))
+        print(profile_spans(recorder.spans()))
     if args.report_out:
         from repro.report.bench import load_history
         from repro.report.site import build_site, resolve_history

@@ -181,9 +181,8 @@ class CrawlCampaign:
         self._privaccept = PrivAccept()
         # Unpacked once: the per-target loop reads the handles directly.
         self._telemetry = telemetry
-        self._tracer = telemetry.tracer
+        self._recorder = telemetry.recorder
         self._metrics = telemetry.metrics
-        self._spans = telemetry.spans
         # Sharded runs name their per-shard root "shard"; the merge then
         # grafts the shard trees under one campaign-level root.
         self._span_root = span_root
@@ -219,9 +218,7 @@ class CrawlCampaign:
         # browser's database — the paper keeps the June 6 file for analysis.
         allowed = frozenset(world.registry.allowed_domains())
 
-        tracer, metrics, spans = self._tracer, self._metrics, self._spans
-        instrumented = tracer.enabled or metrics.enabled
-        recording = spans.enabled
+        recorder, metrics = self._recorder, self._metrics
         browser = Browser(
             world,
             clock=clock,
@@ -247,26 +244,20 @@ class CrawlCampaign:
             start_position = 0
         report.targets = total
 
-        if recording:
-            spans.enter(self._span_root, at=clock.now(), targets=total)
+        recorder.enter(self._span_root, at=clock.now(), targets=total)
         if resume is not None:
             metrics.counter("checkpoint_restores_total")
-            if tracer.enabled:
-                tracer.emit(
-                    EventKind.CHECKPOINT_RESTORED,
-                    at=clock.now(),
-                    shard=self._shard_index,
-                    visits_done=resume.visits_done,
-                    targets=total,
-                )
-            if recording:
-                spans.record(
-                    SPAN_CHECKPOINT_RESTORE,
-                    clock.now(),
-                    clock.now(),
-                    visits_done=resume.visits_done,
-                    targets=total,
-                )
+            now = clock.now()
+            restored = {"visits_done": resume.visits_done, "targets": total}
+            recorder.twin(
+                EventKind.CHECKPOINT_RESTORED,
+                now,
+                {"shard": self._shard_index, **restored},
+                SPAN_CHECKPOINT_RESTORE,
+                now,
+                now,
+                restored,
+            )
 
         for position, (rank, domain) in enumerate(targets, start=1):
             if position <= start_position:
@@ -289,9 +280,8 @@ class CrawlCampaign:
                 )
 
         report.finished_at = clock.now()
-        if instrumented:
-            metrics.gauge("crawl_targets", report.targets)
-            metrics.gauge("crawl_duration_seconds", report.duration_seconds)
+        metrics.gauge("crawl_targets", report.targets)
+        metrics.gauge("crawl_duration_seconds", report.duration_seconds)
 
         if self._checkpoint_store is not None:
             # The final checkpoint makes a finished shard loadable without
@@ -309,8 +299,7 @@ class CrawlCampaign:
         else:
             survey = AttestationSurvey(())
 
-        if recording:
-            spans.exit(at=clock.now(), ok=report.failed == 0)
+        recorder.exit(at=clock.now(), ok=report.failed == 0)
 
         return CrawlResult(
             d_ba=d_ba,
@@ -331,12 +320,11 @@ class CrawlCampaign:
         report: CrawlReport,
     ) -> None:
         """Run the full Before/After protocol for one ranking entry."""
-        tracer, metrics, spans = self._tracer, self._metrics, self._spans
-        instrumented = tracer.enabled or metrics.enabled
-        recording = spans.enabled
+        recorder, metrics = self._recorder, self._metrics
+        traced = recorder.enabled
 
-        if recording:
-            spans.enter(
+        if traced:
+            recorder.enter(
                 SPAN_VISIT,
                 at=clock.now(),
                 domain=domain,
@@ -349,13 +337,13 @@ class CrawlCampaign:
                 break
             report.retried += 1
             metrics.counter("crawl_retries_total")
-            if recording:
-                spans.enter(
+            if traced:
+                recorder.enter(
                     SPAN_RETRY, at=clock.now(), domain=domain, attempt=attempt
                 )
             before = browser.visit(domain)
-            if recording:
-                spans.exit(at=clock.now(), ok=before.ok)
+            if traced:
+                recorder.exit(at=clock.now(), ok=before.ok)
             if before.ok:
                 report.recovered += 1
                 metrics.counter("crawl_recoveries_total")
@@ -364,13 +352,13 @@ class CrawlCampaign:
             report.failure_kinds[before.error] = (
                 report.failure_kinds.get(before.error, 0) + 1
             )
-            if instrumented:
+            if metrics.enabled:
                 metrics.counter(
                     "crawl_visits_total", phase=PHASE_BEFORE, outcome="failed"
                 )
                 metrics.counter("crawl_failures_total", kind=before.error)
-            if recording:
-                spans.exit(at=clock.now(), ok=False, error=before.error)
+            if traced:
+                recorder.exit(at=clock.now(), ok=False, error=before.error)
             if self._progress is not None:
                 self._progress(self._shard_index, report.completed, report.visits)
             return
@@ -381,7 +369,7 @@ class CrawlCampaign:
             report.banners_seen += 1
         self._append(d_ba, rank, before, PHASE_BEFORE, detection)
 
-        if instrumented:
+        if metrics.enabled:
             metrics.counter(
                 "crawl_visits_total", phase=PHASE_BEFORE, outcome="ok"
             )
@@ -391,28 +379,29 @@ class CrawlCampaign:
                 else "missed" if detection.banner_found else "none"
             )
             metrics.counter("crawl_banners_total", result=banner_result)
-            tracer.emit(
+        if traced:
+            # The banner interaction happens on the rendered page, inside
+            # the visit's window (the clock does not advance for it, so
+            # its span is an instant); a page without a banner has none.
+            now = clock.now()
+            recorder.twin(
                 EventKind.BANNER_INTERACTION,
-                at=clock.now(),
-                domain=domain,
-                banner_found=detection.banner_found,
-                accept_clicked=detection.accept_clicked,
-                language=detection.matched_language,
-                keyword=detection.matched_keyword,
+                now,
+                {
+                    "domain": domain,
+                    "banner_found": detection.banner_found,
+                    "accept_clicked": detection.accept_clicked,
+                    "language": detection.matched_language,
+                    "keyword": detection.matched_keyword,
+                },
+                SPAN_BANNER,
+                now,
+                now,
+                {"domain": domain, "accept_clicked": detection.accept_clicked}
+                if detection.banner_found
+                else None,
             )
-        if recording:
-            # The banner interaction happens on the rendered page,
-            # inside the visit's window (the clock does not advance
-            # for it, so the span is an instant).
-            if detection.banner_found:
-                spans.record(
-                    SPAN_BANNER,
-                    clock.now(),
-                    clock.now(),
-                    domain=domain,
-                    accept_clicked=detection.accept_clicked,
-                )
-            spans.exit(at=clock.now(), ok=True)
+            recorder.exit(at=now, ok=True)
         if self._progress is not None:
             self._progress(self._shard_index, report.completed, report.visits)
 
@@ -423,8 +412,8 @@ class CrawlCampaign:
         report.accepted += 1
         browser.consent.grant(domain)
         browser.clear_cache()
-        if recording:
-            spans.enter(
+        if traced:
+            recorder.enter(
                 SPAN_VISIT,
                 at=clock.now(),
                 domain=domain,
@@ -432,8 +421,8 @@ class CrawlCampaign:
                 rank=rank,
             )
         after = browser.visit(domain)
-        if recording:
-            spans.exit(at=clock.now(), ok=after.ok)
+        if traced:
+            recorder.exit(at=clock.now(), ok=after.ok)
         if after.ok:
             self._append(d_aa, rank, after, PHASE_AFTER, detection)
             metrics.counter(
@@ -514,26 +503,20 @@ class CrawlCampaign:
             metrics=self._metrics.snapshot() if self._metrics.enabled else None,
         )
         self._checkpoint_store.write(checkpoint)
+        # Checkpoint writes never advance the simulated clock — the
+        # browsing timeline (and thus the dataset) is identical with
+        # checkpointing on or off.
         now = browser.clock.now()
-        if self._tracer.enabled:
-            self._tracer.emit(
-                EventKind.CHECKPOINT_WRITTEN,
-                at=now,
-                shard=self._shard_index,
-                visits_done=position,
-                complete=complete,
-            )
-        if self._spans.enabled:
-            # Checkpoint writes never advance the simulated clock — the
-            # browsing timeline (and thus the dataset) is identical with
-            # checkpointing on or off.
-            self._spans.record(
-                SPAN_CHECKPOINT_WRITE,
-                now,
-                now,
-                visits_done=position,
-                complete=complete,
-            )
+        written = {"visits_done": position, "complete": complete}
+        self._recorder.twin(
+            EventKind.CHECKPOINT_WRITTEN,
+            now,
+            {"shard": self._shard_index, **written},
+            SPAN_CHECKPOINT_WRITE,
+            now,
+            now,
+            written,
+        )
 
     def _detect_banner(self, banner) -> BannerDetection:
         key = banner.buttons() if banner is not None else None

@@ -78,8 +78,8 @@ from repro.crawler.executor import (
     ShardRetryRecord,
     ShardTask,
     WorldSpec,
+    count_retry,
     plan_shards,
-    record_retries,
     run_shard_task,
 )
 from repro.crawler.wellknown import survey_attestations
@@ -110,7 +110,7 @@ def effective_shard_count(
         raise ValueError(f"shard_count must be positive, got {requested}")
     effective = max(1, min(requested, targets))
     if effective < requested:
-        telemetry.tracer.emit(
+        telemetry.recorder.event(
             EventKind.SHARD_EMPTY,
             at=0,
             requested=requested,
@@ -320,9 +320,8 @@ class Crawl:
         survey = survey_attestations(
             self._world, encountered, report.finished_at, telemetry=telemetry
         )
-        if telemetry.spans.enabled:
-            # Close the campaign root the fold opened.
-            telemetry.spans.exit(at=float(report.finished_at))
+        # Close the campaign root the fold opened.
+        telemetry.recorder.exit(at=float(report.finished_at))
         return CrawlResult(
             d_ba=merged_ba,
             d_aa=merged_aa,
@@ -338,14 +337,18 @@ class Crawl:
     ) -> None:
         """Campaign-level accounting for shards that never recovered.
 
-        Recovered shards folded their own retries.  No spans: the
+        Recovered shards folded their own retries.  An unrecovered
+        shard's retries trace their events and record no span: the
         campaign root span is already closed.
         """
         metrics = self._telemetry.metrics
-        unrecovered = Telemetry(self._telemetry.tracer, metrics)
         for shard in shards:
             if shard.missing is not None:
-                record_retries(unrecovered, shard.retries, at=0)
+                for retry in shard.retries:
+                    count_retry(metrics, retry)
+                    self._telemetry.recorder.event(
+                        EventKind.SHARD_RETRIED, 0, **retry.trace_fields()
+                    )
         if missing:
             metrics.gauge(
                 "crawl_missing_targets",

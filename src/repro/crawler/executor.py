@@ -36,7 +36,7 @@ runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.crawler.campaign import CrawlCampaign, CrawlReport, ProgressFn
@@ -48,7 +48,7 @@ from repro.crawler.checkpoint import (
     ShardCheckpoint,
 )
 from repro.crawler.columnar import VisitBuffers
-from repro.obs import EventKind, Telemetry, TelemetryExport
+from repro.obs import EventKind, MetricsRegistry, Telemetry, TelemetryExport
 from repro.obs.spans import SPAN_SHARD, SPAN_SHARD_RETRY
 from repro.util.executor import contiguous_bounds
 from repro.util.text import stable_digest
@@ -115,6 +115,12 @@ class ShardRetryRecord:
     backoff_seconds: int
     resumed_from: int  # visits_done of the checkpoint the retry started at
     error: str
+
+    def trace_fields(self) -> dict:
+        """The ``shard-retried`` trace event's payload."""
+        fields = asdict(self)
+        fields["shard"] = fields.pop("shard_index")
+        return fields
 
 
 @dataclass(frozen=True)
@@ -214,7 +220,7 @@ def execute_shard(
     while True:
         attempt = len(retries) + 1
         shard_telemetry = telemetry.child(plan.shard_index)
-        shard_telemetry.tracer.emit(
+        shard_telemetry.recorder.event(
             EventKind.SHARD_STARTED,
             at=checkpoint.clock_now if checkpoint is not None else 0,
             shard=plan.shard_index,
@@ -325,38 +331,37 @@ def _degraded_result(
 def record_retries(
     telemetry: Telemetry, retries: Iterable[ShardRetryRecord], at: int
 ) -> None:
-    """Count and trace shard retries at ``at``; spans get each backoff.
+    """Count and record shard retries at ``at``.
 
     A recovered shard records into its successful attempt's own bundle
     (not the shared campaign-level one) so workers never contend; the
-    shard fold then merges them deterministically.
+    shard fold then merges them deterministically.  Each retry is one
+    moment: a ``shard-retried`` event and a span over its backoff, on
+    the retry timeline anchored at the checkpoint the retry restarted
+    from.
     """
     for retry in retries:
-        telemetry.metrics.counter("shard_retries_total")
-        telemetry.metrics.counter(
-            "shard_backoff_seconds_total", retry.backoff_seconds
-        )
-        telemetry.tracer.emit(
+        count_retry(telemetry.metrics, retry)
+        start = float(at)
+        telemetry.recorder.twin(
             EventKind.SHARD_RETRIED,
-            at=at,
-            shard=retry.shard_index,
-            attempt=retry.attempt,
-            backoff_seconds=retry.backoff_seconds,
-            resumed_from=retry.resumed_from,
-            error=retry.error,
+            at,
+            retry.trace_fields(),
+            SPAN_SHARD_RETRY,
+            start,
+            start + retry.backoff_seconds,
+            {
+                "attempt": retry.attempt,
+                "backoff_seconds": retry.backoff_seconds,
+                "resumed_from": retry.resumed_from,
+            },
         )
-        if telemetry.spans.enabled:
-            # The backoff interval sits on the retry timeline anchored
-            # at the checkpoint the retry restarted from.
-            start = float(at)
-            telemetry.spans.record(
-                SPAN_SHARD_RETRY,
-                start,
-                start + retry.backoff_seconds,
-                attempt=retry.attempt,
-                backoff_seconds=retry.backoff_seconds,
-                resumed_from=retry.resumed_from,
-            )
+
+
+def count_retry(metrics: MetricsRegistry, retry: ShardRetryRecord) -> None:
+    """Count one shard retry and its backoff."""
+    metrics.counter("shard_retries_total")
+    metrics.counter("shard_backoff_seconds_total", retry.backoff_seconds)
 
 
 # -- world reconstruction ------------------------------------------------------

@@ -279,12 +279,12 @@ def survey_attestations(
     a record for it, so only those domains are fetched and validated;
     every other domain is an absent row without a fetch.
 
-    With instrumentation on, every probe emits an ``attestation-fetch``
-    event and lands in the ``attestation_probes_total{result=...}``
-    counter (result is one of ``attested`` / ``invalid`` / ``absent``);
-    with span recording on, the survey wraps its probes in an
-    ``attestation-survey`` span (the probes are instants — the simulated
-    clock does not advance during the survey).
+    With metrics on, every probe lands in the
+    ``attestation_probes_total{result=...}`` counter (result is one of
+    ``attested`` / ``invalid`` / ``absent``).  With the recorder on,
+    every probe is one moment — an ``attestation-fetch`` event and span —
+    inside an ``attestation-survey`` span (the probes are instants: the
+    simulated clock does not advance during the survey).
     """
     absent = set(domains)
     probes = {}
@@ -295,12 +295,11 @@ def survey_attestations(
     absent.difference_update(probes)
     survey = AttestationSurvey._of_columns(absent, probes)
 
-    tracer, metrics, spans = telemetry.tracer, telemetry.metrics, telemetry.spans
-    if not (tracer.enabled or metrics.enabled or spans.enabled):
+    recorder, metrics = telemetry.recorder, telemetry.metrics
+    if not (recorder.enabled or metrics.enabled):
         return survey
-    recording = spans.enabled
-    if recording:
-        spans.enter(SPAN_ATTESTATION_SURVEY, at=now, domains=len(survey))
+    traced = recorder.enabled
+    recorder.enter(SPAN_ATTESTATION_SURVEY, at=now, domains=len(survey))
     # Sorted order keeps the trace deterministic for a given domain set.
     for domain in survey.domains():
         probe = probes.get(domain)
@@ -310,18 +309,16 @@ def survey_attestations(
             served, valid, issued = probe.served, probe.valid, probe.issued
             result = "attested" if probe.attested else "invalid" if served else "absent"
         metrics.counter("attestation_probes_total", result=result)
-        tracer.emit(
+        if not traced:
+            continue
+        recorder.twin(
             EventKind.ATTESTATION_FETCH,
-            at=now,
-            domain=domain,
-            served=served,
-            valid=valid,
-            issued=issued,
+            now,
+            {"domain": domain, "served": served, "valid": valid, "issued": issued},
+            SPAN_ATTESTATION_FETCH,
+            now,
+            now,
+            {"domain": domain, "result": result},
         )
-        if recording:
-            spans.record(
-                SPAN_ATTESTATION_FETCH, now, now, domain=domain, result=result
-            )
-    if recording:
-        spans.exit(at=now)
+    recorder.exit(at=now)
     return survey

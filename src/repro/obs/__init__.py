@@ -1,19 +1,21 @@
-"""Observability: tracing, metrics, spans and profiling for the crawl pipeline.
+"""Observability: one recorder, metrics and profiling for the crawl pipeline.
 
 The paper's findings hinge on the crawler producing *exactly* the same
 dataset however it is executed — sequentially, sharded, resumed.  This
 package makes execution differences visible by construction:
 
-* :mod:`repro.obs.tracer` — typed trace events (visit lifecycle, banner
-  interaction, Topics calls with caller classification, attestation
-  fetches, shard lifecycle, injected failures) collected in a bounded
-  ring buffer with JSONL export;
+* :mod:`repro.obs.recorder` — the one recorder: each telemetry moment
+  (visit attempt, banner interaction, checkpoint, shard retry,
+  attestation fetch, sweep cell) is recorded once, as one row, and the
+  trace, span and Chrome-trace files are derived from the rows;
+* :mod:`repro.obs.trace` — the trace file format: typed events stamped
+  with simulated time, with a meta line counting ring-buffer drops;
+* :mod:`repro.obs.spans` — the span file formats: nested, timed
+  intervals over the simulated clock (campaign → shard → visit →
+  per-stage), as JSONL and as Chrome trace-event JSON;
 * :mod:`repro.obs.metrics` — counters / gauges / histograms with labels,
   snapshottable and mergeable across shards, so a sequential campaign
   and a sharded one can be diffed metric-by-metric;
-* :mod:`repro.obs.spans` — nested, timed intervals over the simulated
-  clock (campaign → shard → visit → per-stage), with Chrome trace-event
-  export for visual inspection;
 * :mod:`repro.obs.profile` — the critical-path profiler over recorded
   spans: stage breakdowns, the shard straggler report, slow visits;
 * :mod:`repro.obs.progress` — a live stderr progress line fed by the
@@ -23,7 +25,7 @@ package makes execution differences visible by construction:
 * :mod:`repro.obs.telemetry` — :class:`Telemetry`, the one handle
   instrumented components take, and the one fold of shard telemetry.
 
-:data:`Telemetry.OFF` bundles the three no-op recorders, so
+:data:`Telemetry.OFF` bundles the no-op recorder and metrics, so
 instrumentation-off adds nothing to the hot path beyond one attribute
 check.  Stored telemetry is read through :mod:`repro.util.codec`: a
 corrupt trace, span or metrics file raises its
@@ -50,21 +52,15 @@ from repro.obs.profile import (
     straggler_report,
 )
 from repro.obs.progress import ProgressTracker
-from repro.obs.spans import (
-    NULL_RECORDER,
-    NullSpanRecorder,
-    Span,
-    SpanMeta,
-    SpanRecorder,
-)
+from repro.obs.recorder import NULL_RECORDER, NullRecorder, Recorder
+from repro.obs.spans import Span, SpanMeta, read_span_meta, read_spans
 from repro.obs.telemetry import Telemetry, TelemetryExport
-from repro.obs.tracer import (
+from repro.obs.trace import (
     EventKind,
-    NULL_TRACER,
-    NullTracer,
     TraceEvent,
     TraceMeta,
-    Tracer,
+    read_trace,
+    read_trace_meta,
 )
 
 __all__ = [
@@ -76,24 +72,25 @@ __all__ = [
     "MetricsSnapshot",
     "NULL_METRICS",
     "NULL_RECORDER",
-    "NULL_TRACER",
     "NullMetrics",
-    "NullSpanRecorder",
-    "NullTracer",
+    "NullRecorder",
     "ProgressTracker",
+    "Recorder",
     "SlowVisitReport",
     "Span",
     "SpanMeta",
-    "SpanRecorder",
     "StageStat",
     "StragglerReport",
     "Telemetry",
     "TelemetryExport",
     "TraceEvent",
     "TraceMeta",
-    "Tracer",
     "build_profile",
     "critical_path",
+    "read_span_meta",
+    "read_spans",
+    "read_trace",
+    "read_trace_meta",
     "render_exposition",
     "stage_breakdown",
     "straggler_report",

@@ -48,6 +48,8 @@ class ProgressTracker:
         self._last_width = 0
         self._shard_done: dict[int, int] = {}
         self._shard_visits: dict[int, int] = {}
+        # Targets and visits restored from checkpoints, not this run's work.
+        self._restored_done = self._restored_visits = 0
         self._lines_written = 0
         self._lock = threading.Lock()
 
@@ -61,22 +63,31 @@ class ProgressTracker:
                 self._last_render = now
                 self._write(self.render_line())
 
+    def resumed(self, shard: int, completed: int, visits: int) -> None:
+        """Counts a shard's checkpoint restored: done, but not in this run."""
+        with self._lock:
+            self._restored_done += completed
+            self._restored_visits += visits
+            self._shard_done.setdefault(shard, completed)
+            self._shard_visits.setdefault(shard, visits)
+
     # -- rendering ------------------------------------------------------------
 
     def render_line(self) -> str:
         """The current status line (no trailing newline)."""
         completed = sum(self._shard_done.values())
         elapsed = max(self._time_fn() - self._started, 1e-9)
-        rate = sum(self._shard_visits.values()) / elapsed
+        rate = (sum(self._shard_visits.values()) - self._restored_visits) / elapsed
+        made_targets = completed - self._restored_done
         if self._targets:
             fraction = min(completed / self._targets, 1.0)
             percent = f"{fraction:.1%}"
         else:
             fraction, percent = 0.0, "?"
-        if 0 < fraction < 1:
-            eta = f"{elapsed * (1 - fraction) / fraction:,.0f}s"
-        elif fraction >= 1:
+        if fraction >= 1:
             eta = "0s"
+        elif made_targets > 0 and self._targets:
+            eta = f"{elapsed * (self._targets - completed) / made_targets:,.0f}s"
         else:
             eta = "?"
         parts = [

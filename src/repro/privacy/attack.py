@@ -398,22 +398,21 @@ def link_profiles(
         effective = "sparse"
 
     elapsed = time.perf_counter() - started
-    metrics, spans = telemetry.metrics, telemetry.spans
+    metrics = telemetry.metrics
     if metrics.enabled:
         metrics.counter("reid_pairs_scored_total", pairs_scored)
         metrics.counter("reid_candidates_pruned_total", candidates_pruned)
         metrics.gauge(
             "reid_rank_users_per_second", size / elapsed if elapsed else 0.0
         )
-    if spans.enabled:
-        spans.record(
-            SPAN_REID_LINKAGE,
-            started,
-            started + elapsed,
-            users=size,
-            strategy=effective,
-            backend=backend_name,
-            pairs_scored=pairs_scored,
-            candidates_pruned=candidates_pruned,
-        )
+    telemetry.recorder.record(
+        SPAN_REID_LINKAGE,
+        started,
+        started + elapsed,
+        users=size,
+        strategy=effective,
+        backend=backend_name,
+        pairs_scored=pairs_scored,
+        candidates_pruned=candidates_pruned,
+    )
     return LinkageResult(population_size=size, true_match_ranks=tuple(ranks))

@@ -39,6 +39,8 @@ from repro.scenarios.diff import SweepReport, build_sweep_report, write_sweep_pa
 from repro.scenarios.matrix import Cell, baseline_cell, expand
 from repro.scenarios.metrics import METRIC_NAMES, cell_metrics
 from repro.scenarios.spec import ScenarioSpec
+from repro.util.codec import NUMBER, FormatError, check_fields, located
+from repro.util.codec import read_json_object
 from repro.util.executor import ExecutionBackend, create_backend
 from repro.util.fsio import atomic_write_text
 from repro.web.cmp import CmpCatalogue
@@ -215,29 +217,48 @@ def _marker_json(run: CellRun) -> str:
     )
 
 
+#: A cell marker's fields, exactly; its ``metrics`` object holds exactly
+#: the :data:`METRIC_NAMES`, each a JSON number.
+_MARKER_FIELDS = {
+    "cell_id": (str,),
+    "fingerprint": (str,),
+    "archive_digest": (str,),
+    "duration_seconds": (int,),
+    "metrics": (dict,),
+}
+_MARKER_METRICS = {name: NUMBER for name in METRIC_NAMES}
+
+
+def read_cell_marker(path: str | Path) -> dict:
+    """A cell marker's JSON object, checked against its field table.
+
+    Raises :class:`~repro.util.codec.FormatError` naming the file and the
+    defect (nothing is coerced), or ``OSError`` when it cannot be read.
+    """
+    marker = read_json_object(path)
+    with located(path):
+        check_fields(marker, _MARKER_FIELDS)
+        check_fields(marker["metrics"], _MARKER_METRICS)
+    return marker
+
+
 def load_cell_marker(cell_dir: str | Path) -> CellRun | None:
-    """Load a cell's completion marker, or ``None`` if absent/corrupt."""
-    path = Path(cell_dir) / CELL_MARKER_FILE
+    """Load a cell's completion marker, or ``None`` if absent or defective."""
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        raw_metrics = raw["metrics"]
-        # Restore canonical metric order: the marker's JSON is sorted
-        # alphabetically, but manifests/reports list metrics in
-        # METRIC_NAMES order — resumed cells must match fresh ones.
-        return CellRun(
-            cell_id=raw["cell_id"],
-            fingerprint=raw["fingerprint"],
-            metrics=tuple(
-                (name, raw_metrics[name])
-                for name in METRIC_NAMES
-                if name in raw_metrics
-            ),
-            archive_digest=raw["archive_digest"],
-            duration_seconds=int(raw["duration_seconds"]),
-            resumed=True,
-        )
-    except (OSError, ValueError, KeyError, TypeError):
+        raw = read_cell_marker(Path(cell_dir) / CELL_MARKER_FILE)
+    except (OSError, FormatError):
         return None
+    # Restore canonical metric order: the marker's JSON is sorted
+    # alphabetically, but manifests/reports list metrics in
+    # METRIC_NAMES order — resumed cells must match fresh ones.
+    return CellRun(
+        cell_id=raw["cell_id"],
+        fingerprint=raw["fingerprint"],
+        metrics=tuple((name, raw["metrics"][name]) for name in METRIC_NAMES),
+        archive_digest=raw["archive_digest"],
+        duration_seconds=raw["duration_seconds"],
+        resumed=True,
+    )
 
 
 def completed_cell(cell: Cell, cell_dir: Path) -> CellRun | None:
@@ -311,7 +332,7 @@ def run_sweep(
     cells_root = out_dir / CELLS_DIR
     cells_root.mkdir(parents=True, exist_ok=True)
 
-    telemetry.tracer.emit(
+    telemetry.recorder.event(
         EventKind.SWEEP_STARTED,
         at=0,
         scenario=spec.name,
@@ -404,24 +425,28 @@ def _record_sweep_obs(
     runs: list[CellRun],
     telemetry: Telemetry,
 ) -> None:
-    """Thread sweep-level spans/metrics/events, one per cell.
+    """Record the sweep's metrics and one moment per cell.
 
     Cells run on independent simulated clocks that all start at zero, so
     each cell's span occupies ``[0, duration]`` under the sweep root —
     the profiler reads them as parallel lanes, which is what they are.
     """
-    tracer, metrics, spans = telemetry.tracer, telemetry.metrics, telemetry.spans
-    recording = spans.enabled
-    if recording:
-        spans.enter(SPAN_SWEEP, at=0.0, scenario=spec.name, cells=len(cells))
+    recorder, metrics = telemetry.recorder, telemetry.metrics
+    recorder.enter(SPAN_SWEEP, at=0.0, scenario=spec.name, cells=len(cells))
     longest = 0.0
     for cell, run in zip(cells, runs):
-        tracer.emit(
+        recorder.twin(
             EventKind.CELL_COMPLETED,
-            at=run.duration_seconds,
-            cell=cell.cell_id,
-            fingerprint=run.fingerprint,
-            resumed=run.resumed,
+            run.duration_seconds,
+            {
+                "cell": cell.cell_id,
+                "fingerprint": run.fingerprint,
+                "resumed": run.resumed,
+            },
+            SPAN_CELL,
+            0.0,
+            float(run.duration_seconds),
+            {"cell": cell.cell_id, "resumed": run.resumed},
         )
         metrics.counter("sweep_cells_total")
         if run.resumed:
@@ -436,14 +461,5 @@ def _record_sweep_obs(
             run.metrics_dict().get("ok", 0),
             cell=cell.cell_id,
         )
-        if recording:
-            spans.record(
-                SPAN_CELL,
-                0.0,
-                float(run.duration_seconds),
-                cell=cell.cell_id,
-                resumed=run.resumed,
-            )
         longest = max(longest, float(run.duration_seconds))
-    if recording:
-        spans.exit(at=longest)
+    recorder.exit(at=longest)

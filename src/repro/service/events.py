@@ -19,7 +19,7 @@ an explicit per-subscription backpressure policy:
 * ``drop``  — ``publish`` never waits: when the queue is full the event
   is counted against :attr:`Subscription.dropped` and discarded for
   that subscriber only.  The count is surfaced to the consumer (the
-  NDJSON protocol emits ``dropped`` notices), mirroring the tracer's
+  NDJSON protocol emits ``dropped`` notices), mirroring the trace file's
   ring-buffer drop accounting — losing data silently is the one
   unforgivable failure mode of a measurement system.
 

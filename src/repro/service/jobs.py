@@ -128,40 +128,47 @@ class FaultSpec:
 _FAULT_FIELDS = {"shard_index": (int,), "points": (list,), "kill_service": (bool,)}
 
 
-#: JobSpec fields accepted from a submission payload (everything else is
-#: rejected loudly — silent typos in a campaign spec are how a week-long
-#: crawl runs with the wrong seed).
-_SPEC_FIELDS = frozenset(
-    {
-        "sites",
-        "seed",
-        "vantage",
-        "shards",
-        "backend",
-        "max_workers",
-        "corrupt_allowlist",
-        "limit",
-        "checkpoint_every",
-        "max_shard_retries",
-        "stream_results",
-        "progress_every",
-        "fault",
-    }
-)
+#: Every JobSpec field a submission payload may carry, with its JSON types.
+#: Anything else is rejected loudly, and nothing is coerced: silent typos
+#: in a campaign spec are how a week-long crawl runs with the wrong seed.
+_SPEC_FIELDS = {
+    "sites": (int,),
+    "seed": (int,),
+    "vantage": (str,),
+    "shards": (int,),
+    "backend": (str, type(None)),
+    "max_workers": (int, type(None)),
+    "corrupt_allowlist": (bool,),
+    "limit": (int, type(None)),
+    "checkpoint_every": (int,),
+    "max_shard_retries": (int,),
+    "stream_results": (bool,),
+    "progress_every": (int,),
+    "fault": (dict, type(None)),
+}
+
+#: How a spec error names each type set of :data:`_SPEC_FIELDS`.
+_EXPECTED = {
+    (int,): "an integer",
+    (int, type(None)): "an integer or null",
+    (str,): "a string",
+    (str, type(None)): "a string or null",
+    (bool,): "a boolean",
+    (dict, type(None)): "a JSON object or null",
+}
 
 _VANTAGES = ("eu", "us", "other")
 
-#: Integer fields of a spec; the ``_OPTIONAL`` ones may also be ``None``.
-#: A JSON ``1.5`` or ``true`` is rejected, not truncated or coerced.
-_INT_FIELDS = (
-    "sites",
-    "seed",
-    "shards",
-    "checkpoint_every",
-    "max_shard_retries",
-    "progress_every",
-)
-_OPTIONAL_INT_FIELDS = ("max_workers", "limit")
+
+def _spec_defect(data: dict) -> str:
+    """Why ``data`` fails the :data:`_SPEC_FIELDS` table, naming the field."""
+    unknown = sorted(data.keys() - _SPEC_FIELDS.keys())
+    if unknown:
+        return f"unknown job spec field(s): {', '.join(unknown)}"
+    for name, types in _SPEC_FIELDS.items():
+        if name in data and type(data[name]) not in types:
+            return f"{name} must be {_EXPECTED[types]}, got {json_type(data[name])}"
+    return "job spec does not match its field table"
 
 
 @dataclass(frozen=True)
@@ -183,14 +190,6 @@ class JobSpec:
     fault: FaultSpec | None = None
 
     def __post_init__(self) -> None:
-        for name in _INT_FIELDS + _OPTIONAL_INT_FIELDS:
-            value = getattr(self, name)
-            if type(value) is not int and not (
-                value is None and name in _OPTIONAL_INT_FIELDS
-            ):
-                raise JobSpecError(
-                    f"{name} must be an integer, got {json_type(value)}"
-                )
         if self.sites <= 0:
             raise JobSpecError(f"sites must be positive, got {self.sites}")
         if self.shards <= 0:
@@ -257,15 +256,16 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: object) -> "JobSpec":
+        """A spec from its JSON object; :class:`JobSpecError` naming the
+        first unknown or mistyped field (nothing is coerced)."""
         if type(data) is not dict:
             raise JobSpecError(
                 f"job spec must be a JSON object, got {json_type(data)}"
             )
-        unknown = set(data) - _SPEC_FIELDS
-        if unknown:
-            raise JobSpecError(
-                f"unknown job spec field(s): {', '.join(sorted(unknown))}"
-            )
+        # One pass over the table: a service start reads every stored spec.
+        for name, value in data.items():
+            if type(value) not in _SPEC_FIELDS.get(name, ()):
+                raise JobSpecError(_spec_defect(data))
         kwargs = {key: value for key, value in data.items() if key != "fault"}
         fault = data.get("fault")
         return cls(

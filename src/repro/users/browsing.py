@@ -237,7 +237,7 @@ class TraceGenerator:
             merged.extend(buffers)
 
         elapsed = time.perf_counter() - started
-        metrics, spans = telemetry.metrics, telemetry.spans
+        metrics = telemetry.metrics
         if metrics.enabled:
             metrics.counter("reid_users_total", len(ids))
             metrics.counter("reid_trace_shards_total", len(shards))
@@ -245,15 +245,14 @@ class TraceGenerator:
                 "reid_trace_users_per_second",
                 len(ids) / elapsed if elapsed else 0.0,
             )
-        if spans.enabled:
-            spans.record(
-                SPAN_REID_TRACES,
-                started,
-                started + elapsed,
-                users=len(ids),
-                shards=len(shards),
-                backend=resolved.name,
-            )
+        telemetry.recorder.record(
+            SPAN_REID_TRACES,
+            started,
+            started + elapsed,
+            users=len(ids),
+            shards=len(shards),
+            backend=resolved.name,
+        )
         return merged
 
     def _trace_shard(

@@ -12,10 +12,13 @@ placing a decoder's ``ValueError`` at its file and line.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterator
+from typing import AbstractSet, Callable, Iterable, Iterator
+
+from repro.util.fsio import BufferedLineWriter
 
 
 class FormatError(json.JSONDecodeError):
@@ -161,6 +164,19 @@ def read_records(path: str | Path, parse: Callable, skip: str | None = None) -> 
             with located(path, number):
                 records.append(parse(decode_line(path, number, line)))
     return records
+
+
+def write_records(path: str | Path, meta: object, records: Iterable) -> None:
+    """Write ``{"meta": <meta's fields>}``, then each record's ``to_json()``
+    line, in a few large writes: the inverse of :func:`read_header` and
+    :func:`read_records`."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", encoding="utf-8") as handle:
+        with BufferedLineWriter(handle) as writer:
+            writer.write_line(json.dumps({"meta": dataclasses.asdict(meta)}))
+            for record in records:
+                writer.write_line(record.to_json())
 
 
 def read_header(path: str | Path, key: str, fields: Fields) -> dict | None:

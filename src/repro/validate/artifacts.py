@@ -21,8 +21,8 @@ from repro.crawler.archive import load_crawl
 from repro.crawler.campaign import CrawlResult
 from repro.crawler.checkpoint import MANIFEST_FILE, CheckpointStore, PartialManifest
 from repro.obs.metrics import MetricsSnapshot
-from repro.obs.spans import Span, SpanMeta, SpanRecorder
-from repro.obs.tracer import TraceEvent, TraceMeta, Tracer
+from repro.obs.spans import Span, SpanMeta, read_span_meta, read_spans
+from repro.obs.trace import TraceEvent, TraceMeta, read_trace, read_trace_meta
 from repro.taxonomy.tree import TaxonomyTree, TopicNode, load_default_taxonomy
 from repro.util.codec import check_fields, located, read_json_object
 
@@ -118,8 +118,8 @@ class CrawlArtifacts:
         trace_path = _resolve(trace, source / TRACE_FILE)
         trace_meta = trace_events = None
         if trace_path is not None:
-            trace_meta = Tracer.read_meta(trace_path)
-            trace_events = tuple(Tracer.read_jsonl(trace_path))
+            trace_meta = read_trace_meta(trace_path)
+            trace_events = tuple(read_trace(trace_path))
 
         metrics_path = _resolve(metrics, source / METRICS_FILE)
         snapshot = (
@@ -129,8 +129,8 @@ class CrawlArtifacts:
         span_path = _resolve(spans, source / SPANS_FILE)
         span_meta = span_records = None
         if span_path is not None:
-            span_meta = SpanRecorder.read_meta(span_path)
-            span_records = tuple(SpanRecorder.read_jsonl(span_path))
+            span_meta = read_span_meta(span_path)
+            span_records = tuple(read_spans(span_path))
 
         store_dir = _resolve(checkpoint_dir, source / CHECKPOINT_DIR)
         manifest = None

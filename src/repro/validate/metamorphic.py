@@ -43,7 +43,7 @@ from repro.attestation.allowlist import GatingDecision
 from repro.crawler.archive import save_crawl
 from repro.crawler.campaign import CrawlCampaign, CrawlResult
 from repro.crawler.crawl import Crawl
-from repro.obs import MetricsRegistry, SpanRecorder, Telemetry, Tracer
+from repro.obs import MetricsRegistry, Recorder, Telemetry
 from repro.validate.engine import audit_archive
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -368,7 +368,7 @@ class MetamorphicHarness:
             "instrumented",
             lambda: CrawlCampaign(
                 self._world(),
-                telemetry=Telemetry(Tracer(), MetricsRegistry(), SpanRecorder()),
+                telemetry=Telemetry(Recorder(), MetricsRegistry()),
             ).run(),
         )
         details = [

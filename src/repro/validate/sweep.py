@@ -21,6 +21,7 @@ from repro.scenarios.engine import (
     CELLS_DIR,
     MANIFEST_FILE,
     archive_digest,
+    read_cell_marker,
 )
 from repro.scenarios.matrix import baseline_cell, expand
 from repro.scenarios.spec import ScenarioSpec, ScenarioSpecError
@@ -267,13 +268,14 @@ def _check_markers(root: Path, manifest: dict, sink: list[Violation]) -> None:
         cell_id = entry["cell_id"]
         path = root / CELLS_DIR / str(cell_id) / CELL_MARKER_FILE
         try:
-            marker = read_json_object(path)
-        except (OSError, FormatError):
+            marker = read_cell_marker(path)
+        except (OSError, FormatError) as exc:
             sink.append(
                 _violation(
                     rule,
                     f"cell {cell_id}: marker missing or unreadable",
                     cell=cell_id,
+                    reason=str(exc),
                 )
             )
             continue

@@ -89,11 +89,11 @@ class TestCommands:
         assert "Campaign profile" in out
         assert "stage breakdown" in out
 
-        from repro.obs import SpanRecorder
+        from repro.obs import read_span_meta, read_spans
 
-        spans = SpanRecorder.read_jsonl(span_path)
+        spans = read_spans(span_path)
         assert spans
-        assert SpanRecorder.read_meta(span_path).dropped == 0
+        assert read_span_meta(span_path).dropped == 0
         assert any(s.name == "campaign" for s in spans)
 
     def test_crawl_chrome_trace_is_valid(self, capsys, tmp_path):

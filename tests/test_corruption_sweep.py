@@ -30,7 +30,16 @@ from repro.crawler.checkpoint import (
     ShardCheckpoint,
     campaign_fingerprint,
 )
-from repro.obs import EventKind, MetricsRegistry, MetricsSnapshot, SpanRecorder, Tracer
+from repro.obs import (
+    EventKind,
+    MetricsRegistry,
+    MetricsSnapshot,
+    Recorder,
+    read_span_meta,
+    read_spans,
+    read_trace,
+    read_trace_meta,
+)
 from repro.report.bench import load_history
 from repro.service import FaultSpec, JobRecord, JobSpec, JobTable
 from repro.util.codec import FormatError
@@ -79,19 +88,19 @@ class Format:
 
 
 def _trace_text(tmp: Path) -> str:
-    tracer = Tracer()
-    tracer.emit(EventKind.VISIT_STARTED, at=1, domain="a.com")
-    tracer.emit(EventKind.VISIT_FINISHED, at=2.5, domain="a.com", ok=True)
-    tracer.to_jsonl(tmp / "trace.jsonl")
+    recorder = Recorder()
+    recorder.event(EventKind.VISIT_STARTED, at=1, domain="a.com")
+    recorder.event(EventKind.VISIT_FINISHED, at=2.5, domain="a.com", ok=True)
+    recorder.write(trace=tmp / "trace.jsonl")
     return (tmp / "trace.jsonl").read_text()
 
 
 def _span_text(tmp: Path) -> str:
-    spans = SpanRecorder()
-    spans.enter("campaign", at=0.0)
-    spans.record("visit", 0.0, 1.0, domain="a.com")
-    spans.exit(at=2.0)
-    spans.to_jsonl(tmp / "spans.jsonl")
+    recorder = Recorder()
+    recorder.enter("campaign", at=0.0)
+    recorder.record("visit", 0.0, 1.0, domain="a.com")
+    recorder.exit(at=2.0)
+    recorder.write(spans=tmp / "spans.jsonl")
     return (tmp / "spans.jsonl").read_text()
 
 
@@ -226,7 +235,7 @@ def formats(tmp_path_factory) -> dict[str, Format]:
             "trace",
             "trace.jsonl",
             trace,
-            lambda path: (Tracer.read_meta(path), Tracer.read_jsonl(path)),
+            lambda path: (read_trace_meta(path), read_trace(path)),
             (Record(1, ("meta",), meta),)
             + _jsonl_records(
                 trace, 2, {"seq": INT, "at": NUM, "kind": STR}, closed=False
@@ -236,7 +245,7 @@ def formats(tmp_path_factory) -> dict[str, Format]:
             "spans",
             "spans.jsonl",
             spans,
-            lambda path: (SpanRecorder.read_meta(path), SpanRecorder.read_jsonl(path)),
+            lambda path: (read_span_meta(path), read_spans(path)),
             (Record(1, ("meta",), span_meta),)
             + _jsonl_records(spans, 2, span, closed=False),
         ),

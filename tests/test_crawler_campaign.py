@@ -3,7 +3,7 @@
 from repro.crawler.campaign import CrawlCampaign
 from repro.crawler.dataset import PHASE_AFTER, PHASE_BEFORE
 from repro.crawler.wellknown import survey_attestations
-from repro.obs import MetricsRegistry, Telemetry, Tracer
+from repro.obs import MetricsRegistry, Recorder, Telemetry
 from repro.web.thirdparty import DISTILLERY_DOMAIN
 
 
@@ -94,14 +94,14 @@ class TestArtefacts:
 
         monkeypatch.setattr(type(world), "well_known_payload", counting_serve)
         targets = set(crawl.survey.domains())
-        tracer, metrics = Tracer(), MetricsRegistry()
+        recorder, metrics = Recorder(), MetricsRegistry()
         survey = survey_attestations(
-            world, targets, crawl.report.finished_at, Telemetry(tracer, metrics)
+            world, targets, crawl.report.finished_at, Telemetry(recorder, metrics)
         )
         assert sorted(fetched) == sorted(targets & set(world.registry.domains()))
         assert len(fetched) < len(targets) // 10
         # Every domain, absent ones included, still has its event and count.
-        events = tracer.events("attestation-fetch")
+        events = recorder.events("attestation-fetch")
         assert [event.fields["domain"] for event in events] == sorted(targets)
         absent = [d for d in targets if not crawl.survey.probe(d).served]
         counts = metrics.snapshot()

@@ -20,13 +20,7 @@ from repro.crawler.dataset import Dataset, PHASE_AFTER, PHASE_BEFORE, VisitRecor
 from repro.crawler.crawl import Crawl
 from repro.crawler.executor import ShardPlan, ShardResult
 from repro.crawler.parallel import ShardedCrawl
-from repro.obs import (
-    MetricsRegistry,
-    SpanRecorder,
-    Telemetry,
-    TelemetryExport,
-    Tracer,
-)
+from repro.obs import MetricsRegistry, Recorder, Telemetry, TelemetryExport
 from repro.obs.profile import straggler_report
 from repro.obs.spans import SPAN_CAMPAIGN, SPAN_SHARD
 from repro.web.config import WorldConfig
@@ -44,22 +38,22 @@ def eq_world():
 
 @pytest.fixture(scope="module")
 def sequential(eq_world):
-    tracer, metrics, spans = Tracer(), MetricsRegistry(), SpanRecorder()
+    recorder, metrics = Recorder(), MetricsRegistry()
     result = CrawlCampaign(
         eq_world,
         corrupt_allowlist=True,
-        telemetry=Telemetry(tracer, metrics, spans),
+        telemetry=Telemetry(recorder, metrics),
     ).run()
-    return result, tracer, metrics, spans
+    return result, recorder, metrics
 
 
 @pytest.fixture(scope="module")
 def sharded(eq_world):
-    tracer, metrics, spans = Tracer(), MetricsRegistry(), SpanRecorder()
+    recorder, metrics = Recorder(), MetricsRegistry()
     result = ShardedCrawl(
-        eq_world, shard_count=4, telemetry=Telemetry(tracer, metrics, spans)
+        eq_world, shard_count=4, telemetry=Telemetry(recorder, metrics)
     ).run()
-    return result, tracer, metrics, spans
+    return result, recorder, metrics
 
 
 @pytest.fixture(scope="module")
@@ -138,24 +132,24 @@ class TestMergedTraceOrdering:
     """
 
     def test_merged_events_sorted_by_at_then_shard(self, sharded):
-        tracer = sharded[1]
+        recorder = sharded[1]
         lifecycle = {"shard-merged"}
         keys = [
             (event.at, event.fields["shard"])
-            for event in tracer
+            for event in recorder.events()
             if event.kind not in lifecycle and "shard" in event.fields
         ]
         assert keys, "expected shard-tagged events in the merged trace"
         assert keys == sorted(keys)
 
     def test_merge_folds_handcrafted_traces_in_time_order(self, eq_world):
-        tracer = Tracer()
-        crawl = Crawl(eq_world, shard_count=2, telemetry=Telemetry(tracer=tracer))
+        recorder = Recorder()
+        crawl = Crawl(eq_world, shard_count=2, telemetry=Telemetry(recorder=recorder))
         results = []
         for shard, times in enumerate(((5, 20), (1, 12))):
-            shard_tracer = Tracer()
+            shard_recorder = Recorder(shard=shard)
             for at in times:
-                shard_tracer.emit("probe", at=at)
+                shard_recorder.event("probe", at=at)
             report = CrawlReport(started_at=0, finished_at=max(times))
             results.append(
                 ShardResult(
@@ -163,7 +157,7 @@ class TestMergedTraceOrdering:
                     d_ba=VisitBuffers(),
                     d_aa=VisitBuffers(),
                     report=report,
-                    telemetry=TelemetryExport(events=tuple(shard_tracer)),
+                    telemetry=TelemetryExport(recorder=shard_recorder),
                 )
             )
         plans = [
@@ -173,7 +167,7 @@ class TestMergedTraceOrdering:
         crawl._merge(plans, results)
         probes = [
             (event.at, event.fields["shard"])
-            for event in tracer.events("probe")
+            for event in recorder.events("probe")
         ]
         # Time-sorted fold, not shard 0 then shard 1.
         assert probes == [(1, 1), (5, 0), (12, 1), (20, 0)]
@@ -224,7 +218,7 @@ class TestSpanEquivalence:
         assert instrumented.survey == plain.survey
 
     def test_sequential_tree_shape(self, sequential):
-        result, spans = sequential[0], sequential[3]
+        result, spans = sequential[0], sequential[1]
         assert spans.open_depth == 0
         roots = [s for s in spans.spans() if s.parent_id is None]
         assert [r.name for r in roots] == [SPAN_CAMPAIGN]
@@ -236,7 +230,7 @@ class TestSpanEquivalence:
     def test_straggler_finish_is_merged_finished_at(self, sharded):
         """Acceptance pin: the profiler names the shard whose finish time
         equals the merged report's ``finished_at``."""
-        result, spans = sharded[0], sharded[3]
+        result, spans = sharded[0], sharded[1]
         report = straggler_report(spans.spans())
         assert report is not None
         assert len(report.shards) == 4
@@ -246,7 +240,7 @@ class TestSpanEquivalence:
         )
 
     def test_merged_tree_grafts_shards_under_one_root(self, sharded):
-        spans = sharded[3]
+        spans = sharded[1]
         assert spans.open_depth == 0
         roots = [s for s in spans.spans() if s.parent_id is None]
         assert [r.name for r in roots] == [SPAN_CAMPAIGN]
@@ -256,7 +250,7 @@ class TestSpanEquivalence:
         assert sorted(s.fields["shard"] for s in shard_spans) == [0, 1, 2, 3]
 
     def test_merged_spans_fold_in_chronological_order(self, sharded):
-        spans = sharded[3]
+        spans = sharded[1]
         shard_tagged = [
             (s.start, s.fields["shard"])
             for s in spans.spans()

@@ -25,7 +25,7 @@ from repro.crawler.executor import (
 )
 from repro.crawler.parallel import ShardedCrawl
 from repro.crawler.resumable import ResumableCrawl
-from repro.obs import EventKind, Telemetry, Tracer
+from repro.obs import EventKind, Recorder, Telemetry
 from repro.util.executor import (
     BACKEND_ENV_VAR,
     ProcessBackend,
@@ -212,15 +212,15 @@ class TestProcessCrashResume:
 
 class TestShardCountClamp:
     def test_clamped_and_traced(self):
-        tracer = Tracer()
-        assert effective_shard_count(16, 6, Telemetry(tracer=tracer)) == 6
-        (event,) = tracer.events(EventKind.SHARD_EMPTY)
+        recorder = Recorder()
+        assert effective_shard_count(16, 6, Telemetry(recorder=recorder)) == 6
+        (event,) = recorder.events(EventKind.SHARD_EMPTY)
         assert event.fields == {"requested": 16, "effective": 6, "targets": 6}
 
     def test_no_event_when_within_range(self):
-        tracer = Tracer()
-        assert effective_shard_count(3, 10, Telemetry(tracer=tracer)) == 3
-        assert tracer.events(EventKind.SHARD_EMPTY) == []
+        recorder = Recorder()
+        assert effective_shard_count(3, 10, Telemetry(recorder=recorder)) == 3
+        assert recorder.events(EventKind.SHARD_EMPTY) == []
 
     def test_zero_targets_still_plans_one_shard(self):
         assert effective_shard_count(4, 0) == 1
@@ -250,17 +250,17 @@ class TestShardCountClamp:
             ResumableCrawl(tiny_world, tmp_path, shard_count=-1)
 
     def test_resumable_campaign_clamps(self, tiny_world, tmp_path):
-        tracer = Tracer()
+        recorder = Recorder()
         outcome = ResumableCrawl(
             tiny_world,
             tmp_path,
             shard_count=16,
             limit=6,
             backend="serial",
-            telemetry=Telemetry(tracer=tracer),
+            telemetry=Telemetry(recorder=recorder),
         ).run()
         assert outcome.result.report.targets == 6
-        (event,) = tracer.events(EventKind.SHARD_EMPTY)
+        (event,) = recorder.events(EventKind.SHARD_EMPTY)
         assert event.fields["requested"] == 16
         assert event.fields["effective"] == 6
 

@@ -15,7 +15,7 @@ from repro.attestation.allowlist import (
     AllowListDatabase,
     GatingDecision,
 )
-from repro.obs import Tracer
+from repro.obs import Recorder, read_trace, read_trace_meta
 from repro.util.fsio import BufferedLineWriter
 from repro.util.psl import PublicSuffixList
 
@@ -238,13 +238,13 @@ class TestBufferedLineWriter:
         assert handle.getvalue() == ""
 
     def test_tracer_export_roundtrips_through_buffer(self, tmp_path):
-        tracer = Tracer()
+        recorder = Recorder()
         for index in range(3000):  # crosses multiple write batches
-            tracer.emit("visit-finished", at=index, domain=f"site{index}.com")
+            recorder.event("visit-finished", at=index, domain=f"site{index}.com")
         path = tmp_path / "trace.jsonl"
-        tracer.to_jsonl(path)
-        events = Tracer.read_jsonl(path)
+        recorder.write(trace=path)
+        events = read_trace(path)
         assert len(events) == 3000
         assert events[0].fields == {"domain": "site0.com"}
-        meta = Tracer.read_meta(path)
+        meta = read_trace_meta(path)
         assert meta is not None and meta.emitted == 3000

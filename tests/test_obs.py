@@ -1,4 +1,4 @@
-"""Unit tests for the observability layer: tracer, metrics, round-trips."""
+"""Unit tests for the observability layer: the trace, metrics, round-trips."""
 
 import json
 
@@ -15,85 +15,134 @@ from repro.obs import (
     MetricsRegistry,
     MetricsSnapshot,
     NULL_METRICS,
-    NULL_TRACER,
+    NULL_RECORDER,
     NullMetrics,
-    NullTracer,
-    Tracer,
+    NullRecorder,
+    Recorder,
+    SpanMeta,
+    read_trace,
+    read_trace_meta,
 )
 from repro.obs.metrics import format_series
 
 
 class TestTracer:
+    """The trace side of the recorder: events, their ring and their file."""
+
     def test_emit_and_read_back(self):
-        tracer = Tracer()
-        tracer.emit(EventKind.VISIT_STARTED, at=10, domain="a.com")
-        tracer.emit(EventKind.VISIT_FINISHED, at=12, domain="a.com", ok=True)
-        assert len(tracer) == 2
-        started = tracer.events(EventKind.VISIT_STARTED)
+        recorder = Recorder()
+        recorder.event(EventKind.VISIT_STARTED, at=10, domain="a.com")
+        recorder.event(EventKind.VISIT_FINISHED, at=12, domain="a.com", ok=True)
+        assert len(recorder.events()) == 2
+        started = recorder.events(EventKind.VISIT_STARTED)
         assert len(started) == 1
         assert started[0].at == 10
         assert started[0].fields == {"domain": "a.com"}
 
     def test_sequence_numbers_order_events(self):
-        tracer = Tracer()
+        recorder = Recorder()
         for index in range(5):
-            tracer.emit(EventKind.TOPICS_CALL, at=0, index=index)
-        assert [event.seq for event in tracer] == [0, 1, 2, 3, 4]
+            recorder.event(EventKind.TOPICS_CALL, at=0, index=index)
+        assert [event.seq for event in recorder.events()] == [0, 1, 2, 3, 4]
 
     def test_ring_buffer_drops_oldest(self):
-        tracer = Tracer(capacity=3)
+        recorder = Recorder(trace_capacity=3)
         for index in range(10):
-            tracer.emit(EventKind.VISIT_STARTED, at=index)
-        assert len(tracer) == 3
-        assert tracer.emitted == 10
-        assert tracer.dropped == 7
-        assert [event.at for event in tracer] == [7, 8, 9]
+            recorder.event(EventKind.VISIT_STARTED, at=index)
+        meta = recorder.trace_meta()
+        assert len(recorder.events()) == 3
+        assert meta.emitted == 10
+        assert meta.dropped == 7
+        assert [event.at for event in recorder.events()] == [7, 8, 9]
 
     def test_counts_by_kind_survive_drops(self):
-        tracer = Tracer(capacity=2)
+        recorder = Recorder(trace_capacity=2)
         for _ in range(6):
-            tracer.emit(EventKind.TOPICS_CALL, at=0)
-        assert tracer.counts_by_kind() == {"topics-call": 6}
+            recorder.event(EventKind.TOPICS_CALL, at=0)
+        assert recorder.counts_by_kind() == {"topics-call": 6}
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            Tracer(capacity=0)
+            Recorder(trace_capacity=0)
 
     def test_jsonl_round_trip(self, tmp_path):
-        tracer = Tracer()
-        tracer.emit(EventKind.BANNER_INTERACTION, at=5, domain="b.com", found=True)
-        tracer.emit(
+        recorder = Recorder()
+        recorder.event(EventKind.BANNER_INTERACTION, at=5, domain="b.com", found=True)
+        recorder.event(
             EventKind.TOPICS_CALL, at=7, caller="c.com", decision="allowed-corrupt"
         )
         path = tmp_path / "trace.jsonl"
-        tracer.to_jsonl(path)
-        events = Tracer.read_jsonl(path)
-        assert events == tracer.events()
+        recorder.write(trace=path)
+        events = read_trace(path)
+        assert events == recorder.events()
 
     def test_jsonl_meta_records_drops(self, tmp_path):
-        tracer = Tracer(capacity=2)
+        recorder = Recorder(trace_capacity=2)
         for index in range(5):
-            tracer.emit(EventKind.VISIT_STARTED, at=index)
+            recorder.event(EventKind.VISIT_STARTED, at=index)
         path = tmp_path / "trace.jsonl"
-        tracer.to_jsonl(path)
-        meta = Tracer.read_meta(path)
+        recorder.write(trace=path)
+        meta = read_trace_meta(path)
         assert (meta.emitted, meta.dropped, meta.capacity) == (5, 3, 2)
         assert meta.drop_rate == pytest.approx(0.6)
         # The meta line does not leak into the event stream.
-        events = Tracer.read_jsonl(path)
+        events = read_trace(path)
         assert [event.at for event in events] == [3, 4]
 
     def test_read_meta_none_for_legacy_trace(self, tmp_path):
         path = tmp_path / "legacy.jsonl"
         path.write_text('{"at": 1, "kind": "visit-started", "seq": 0}\n')
-        assert Tracer.read_meta(path) is None
-        assert len(Tracer.read_jsonl(path)) == 1
+        assert read_trace_meta(path) is None
+        assert len(read_trace(path)) == 1
 
     def test_null_tracer_is_inert(self):
-        assert NULL_TRACER.enabled is False
-        NULL_TRACER.emit(EventKind.VISIT_STARTED, at=0, domain="x.com")
-        assert len(NULL_TRACER) == 0
-        assert isinstance(NULL_TRACER, NullTracer)
+        assert NULL_RECORDER.enabled is False
+        NULL_RECORDER.event(EventKind.VISIT_STARTED, at=0, domain="x.com")
+        assert NULL_RECORDER.events() == []
+        assert isinstance(NULL_RECORDER, NullRecorder)
+
+
+class TestRecorderRows:
+    """One row per moment: twins, bounded memory, and the ring windows."""
+
+    def test_twin_derives_an_event_and_a_span(self):
+        recorder = Recorder(shard=1)
+        recorder.enter("shard", at=0.0)
+        recorder.twin(
+            EventKind.CHECKPOINT_WRITTEN,
+            4,
+            {"shard": 1, "visits_done": 20, "complete": False},
+            "checkpoint-write",
+            4,
+            4,
+            {"visits_done": 20, "complete": False},
+        )
+        recorder.exit(at=5.0)
+        (event,) = recorder.events()
+        assert (event.seq, event.at, event.kind) == (0, 4, "checkpoint-written")
+        write, shard = recorder.spans()
+        assert write.parent_id == shard.span_id == 0
+        assert write.fields == {"shard": 1, "visits_done": 20, "complete": False}
+        assert (write.start, write.end) == (4.0, 4.0)
+
+    def test_held_rows_stay_bounded_and_keep_the_newest(self):
+        recorder = Recorder(trace_capacity=5, span_capacity=7)
+        recorder.enter("campaign", at=0.0)
+        for index in range(1_000):
+            if index % 3:
+                recorder.event(EventKind.VISIT_STARTED, at=index)
+            else:
+                recorder.record("visit", index, index + 1)
+        held_rows = recorder._columns[0][recorder._head :]
+        assert len(held_rows) < 20
+        assert [event.at for event in recorder.events()] == [992, 994, 995, 997, 998]
+        assert [span.start for span in recorder.spans()] == [
+            float(index) for index in range(981, 1_000, 3)
+        ]
+        assert recorder.counts_by_kind() == {"visit-started": 666}
+        recorder.exit(at=1_000.0)
+        assert recorder.spans()[-1].name == "campaign"
+        assert recorder.span_meta() == SpanMeta(335, 328, 7)
 
 
 class TestMetricsRegistry:
@@ -356,17 +405,17 @@ class TestTraceHealth:
     def test_complete_trace(self):
         from repro.analysis.obs_report import render_trace_health
 
-        tracer = Tracer()
-        tracer.emit(EventKind.VISIT_STARTED, at=0)
-        assert "complete" in render_trace_health(tracer.meta())
+        recorder = Recorder()
+        recorder.event(EventKind.VISIT_STARTED, at=0)
+        assert "complete" in render_trace_health(recorder.trace_meta())
 
     def test_dropped_events_warn(self):
         from repro.analysis.obs_report import render_trace_health
 
-        tracer = Tracer(capacity=2)
+        recorder = Recorder(trace_capacity=2)
         for index in range(10):
-            tracer.emit(EventKind.VISIT_STARTED, at=index)
-        rendered = render_trace_health(tracer.meta())
+            recorder.event(EventKind.VISIT_STARTED, at=index)
+        rendered = render_trace_health(recorder.trace_meta())
         assert rendered.startswith("WARNING")
         assert "8" in rendered and "80.0%" in rendered
 

@@ -23,7 +23,7 @@ from repro.analysis.profile_report import (
     main as profile_main,
     render_profile_section,
 )
-from repro.obs import MetricsRegistry, SpanRecorder, Tracer
+from repro.obs import MetricsRegistry, Recorder
 
 
 def _metrics_file(path):
@@ -35,19 +35,19 @@ def _metrics_file(path):
 
 
 def _span_file(path):
-    recorder = SpanRecorder()
+    recorder = Recorder()
     recorder.enter("campaign", at=0.0)
     recorder.enter("visit", at=1.0, domain="a.com")
     recorder.exit(at=3.0)
     recorder.exit(at=5.0)
-    recorder.to_jsonl(path)
+    recorder.write(spans=path)
     return path
 
 
 def _trace_file(path):
-    tracer = Tracer()
-    tracer.emit("visit-started", at=1)
-    tracer.to_jsonl(path)
+    recorder = Recorder()
+    recorder.event("visit-started", at=1)
+    recorder.write(trace=path)
     return path
 
 

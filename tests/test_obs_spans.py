@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.profile_report import profile_spans, render_profile
 from repro.obs import (
     NULL_RECORDER,
-    NullSpanRecorder,
+    NullRecorder,
     ProgressTracker,
-    SpanRecorder,
+    Recorder,
     build_profile,
     critical_path,
+    read_span_meta,
+    read_spans,
     stage_breakdown,
     straggler_report,
 )
@@ -30,12 +32,14 @@ from repro.obs.spans import (
     iter_span_tree,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.util.timeline import SimClock
+from repro.crawler.campaign import CrawlReport
 
 
 class TestSpanRecorder:
+    """The span side of the recorder: nesting, its ring and its files."""
+
     def test_enter_exit_builds_parent_child_links(self):
-        rec = SpanRecorder()
+        rec = Recorder()
         root = rec.enter("campaign", at=0.0)
         child = rec.enter("visit", at=1.0, domain="a.com")
         rec.exit(at=3.0, ok=True)
@@ -48,83 +52,74 @@ class TestSpanRecorder:
         assert spans["visit"].duration == 2.0
 
     def test_record_leaf_nests_under_open_span(self):
-        rec = SpanRecorder()
+        rec = Recorder()
         visit = rec.enter("visit", at=0.0)
-        leaf = rec.record(SPAN_NAVIGATE, 0.0, 1.5, domain="a.com")
+        leaf_id = rec.record(SPAN_NAVIGATE, 0.0, 1.5, domain="a.com")
         rec.exit(at=2.0)
+        (leaf,) = rec.spans(SPAN_NAVIGATE)
+        assert leaf.span_id == leaf_id
         assert leaf.parent_id == visit
         assert leaf.duration == 1.5
 
     def test_exit_without_enter_raises(self):
         with pytest.raises(RuntimeError):
-            SpanRecorder().exit(at=1.0)
+            Recorder().exit(at=1.0)
 
     def test_common_fields_tag_every_span(self):
-        rec = SpanRecorder(common_fields={"shard": 2})
+        rec = Recorder(shard=2)
         rec.enter("shard", at=0.0)
         rec.record("visit", 0.0, 1.0, domain="a.com")
         rec.exit(at=1.0)
         assert all(s.fields["shard"] == 2 for s in rec.spans())
 
-    def test_span_context_manager_uses_the_clock(self):
-        rec, clock = SpanRecorder(), SimClock()
-        with rec.span("visit", clock, domain="a.com"):
-            clock.advance(2)
-        (span,) = rec.spans()
-        assert (span.start, span.end) == (0.0, 2.0)
-
     def test_ring_buffer_drops_oldest_and_counts(self):
-        rec = SpanRecorder(capacity=3)
+        rec = Recorder(span_capacity=3)
         for index in range(7):
             rec.record("visit", index, index + 1)
-        assert len(rec) == 3
-        assert rec.recorded == 7
-        assert rec.dropped == 4
-        meta = rec.meta()
+        assert len(rec.spans()) == 3
+        meta = rec.span_meta()
         assert (meta.recorded, meta.dropped, meta.capacity) == (7, 4, 3)
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            SpanRecorder(capacity=0)
+            Recorder(span_capacity=0)
 
     def test_adopt_remaps_ids(self):
-        shard = SpanRecorder(common_fields={"shard": 0})
+        shard = Recorder(shard=0)
         shard.enter("shard", at=0.0)
         shard.record("visit", 0.0, 1.0, domain="a.com")
         shard.exit(at=1.0)
 
-        parent = SpanRecorder()
+        parent = Recorder()
         campaign = parent.enter("campaign", at=0.0)
-        id_map = {}
-        for span in sorted(shard, key=lambda s: (s.start, s.span_id)):
-            mapped_parent = id_map.get(span.parent_id, campaign)
-            id_map[span.span_id] = parent.adopt(span, parent_id=mapped_parent)
+        parent.fold([(0, shard, CrawlReport(finished_at=1))])
         parent.exit(at=1.0)
         adopted = {s.name: s for s in parent.spans()}
         assert adopted["shard"].parent_id == campaign
         assert adopted["visit"].parent_id == adopted["shard"].span_id
+        assert adopted["visit"].fields == {"shard": 0, "domain": "a.com"}
 
     def test_jsonl_round_trip_with_meta(self, tmp_path):
-        rec = SpanRecorder()
+        rec = Recorder()
         rec.enter("campaign", at=0.0, targets=2)
         rec.record("visit", 0.0, 1.0, domain="a.com")
         rec.exit(at=1.0)
         path = tmp_path / "spans.jsonl"
-        rec.to_jsonl(path)
-        spans = SpanRecorder.read_jsonl(path)
-        assert spans == rec.spans_by_start()
-        meta = SpanRecorder.read_meta(path)
+        rec.write(spans=path)
+        spans = read_spans(path)
+        assert spans == sorted(rec.spans(), key=lambda s: (s.start, s.span_id))
+        meta = read_span_meta(path)
         assert (meta.recorded, meta.dropped) == (2, 0)
 
     def test_chrome_trace_is_valid_and_balanced(self, tmp_path):
-        rec = SpanRecorder()
+        rec = Recorder()
         rec.enter("campaign", at=0.0)
         rec.enter("visit", at=0.0, shard=1)
         rec.record("navigate", 0.0, 1.0, shard=1)
         rec.exit(at=1.0)
         rec.exit(at=1.0)
         path = tmp_path / "trace.json"
-        rec.to_chrome_trace(path)
+        rec.write(chrome=path)
         data = json.loads(path.read_text())
         events = data["traceEvents"]
         assert events
@@ -146,13 +141,13 @@ class TestSpanRecorder:
         assert NULL_RECORDER.enabled is False
         assert NULL_RECORDER.enter("visit", at=0.0) == -1
         assert NULL_RECORDER.exit(at=1.0) is None
-        assert NULL_RECORDER.record("visit", 0.0, 1.0) is None
-        assert len(NULL_RECORDER) == 0
-        assert isinstance(NULL_RECORDER, NullSpanRecorder)
+        NULL_RECORDER.record("visit", 0.0, 1.0)
+        assert NULL_RECORDER.spans() == []
+        assert isinstance(NULL_RECORDER, NullRecorder)
 
 
 def _shard_tree(
-    rec: SpanRecorder,
+    rec: Recorder,
     shard: int,
     start: float,
     visit_durations: list[float],
@@ -172,7 +167,7 @@ def _shard_tree(
 
 class TestProfiler:
     def test_stage_breakdown_orders_by_total(self):
-        rec = SpanRecorder()
+        rec = Recorder()
         _shard_tree(rec, 0, 0.0, [2.0, 1.0])
         stats = {s.name: s for s in stage_breakdown(rec.spans())}
         assert stats["visit"].count == 2
@@ -183,14 +178,14 @@ class TestProfiler:
         assert totals == sorted(totals, reverse=True)
 
     def test_critical_path_descends_into_latest_child(self):
-        rec = SpanRecorder()
+        rec = Recorder()
         _shard_tree(rec, 0, 0.0, [1.0, 2.0])
         path = critical_path(rec.spans())
         assert [s.name for s in path] == ["shard", "visit", "navigate"]
         assert path[-1].end == 3.0
 
     def test_straggler_named_by_finish_time(self):
-        rec = SpanRecorder()
+        rec = Recorder()
         _shard_tree(rec, 0, 0.0, [1.0, 1.0])
         _shard_tree(rec, 1, 0.0, [1.0, 1.0, 1.0, 1.0])
         report = straggler_report(rec.spans())
@@ -199,7 +194,7 @@ class TestProfiler:
         assert report.reason == REASON_SLICE
 
     def test_straggler_blamed_on_retries(self):
-        rec = SpanRecorder()
+        rec = Recorder()
         _shard_tree(rec, 0, 0.0, [1.0, 1.0])
         _shard_tree(rec, 1, 0.0, [1.0, 1.0, 0.5], retries=3)
         report = straggler_report(rec.spans())
@@ -207,21 +202,21 @@ class TestProfiler:
         assert report.reason == REASON_RETRIES
 
     def test_balanced_shards(self):
-        rec = SpanRecorder()
+        rec = Recorder()
         _shard_tree(rec, 0, 0.0, [1.0, 1.0])
         _shard_tree(rec, 1, 0.0, [1.0, 1.0])
         report = straggler_report(rec.spans())
         assert report.reason == REASON_BALANCED
 
     def test_unsharded_campaign_has_no_straggler(self):
-        rec = SpanRecorder()
+        rec = Recorder()
         rec.enter("campaign", at=0.0)
         rec.record(SPAN_VISIT, 0.0, 1.0, domain="a.com")
         rec.exit(at=1.0)
         assert straggler_report(rec.spans()) is None
 
     def test_slow_visits_rank_and_dominant_stage(self):
-        rec = SpanRecorder()
+        rec = Recorder()
         _shard_tree(rec, 0, 0.0, [1.0, 3.0, 2.0])
         report = slow_visits(rec.spans(), top_n=2)
         assert report.considered == 3
@@ -229,7 +224,7 @@ class TestProfiler:
         assert report.visits[0].dominant_stage == SPAN_NAVIGATE
 
     def test_stage_histograms_feed_metrics(self):
-        rec = SpanRecorder()
+        rec = Recorder()
         _shard_tree(rec, 0, 0.0, [1.0])
         metrics = MetricsRegistry()
         observe_stage_histograms(rec.spans(), metrics)
@@ -238,11 +233,11 @@ class TestProfiler:
         assert snapshot.histogram("stage_seconds", stage="navigate").count == 1
 
     def test_build_profile_and_render(self):
-        rec = SpanRecorder()
+        rec = Recorder()
         _shard_tree(rec, 0, 0.0, [1.0, 2.0])
         _shard_tree(rec, 1, 0.0, [1.0, 1.0, 1.0, 1.0])
         profile = build_profile(rec.spans())
-        assert profile.span_count == len(rec)
+        assert profile.span_count == len(rec.spans())
         assert profile.wall_seconds == 4.0
         rendered = render_profile(profile)
         assert "stage breakdown" in rendered
@@ -285,6 +280,19 @@ class TestProgressTracker:
         assert "shards 0:100% 1:0%" in line
         assert "ETA" in line
 
+    def test_resumed_counts_stay_out_of_the_rate_and_eta(self):
+        clock = [0.0]
+        tracker = ProgressTracker(
+            2_000, stream=_Sink(), min_interval=0.0, time_fn=lambda: clock[0]
+        )
+        tracker.resumed(0, 1_800, 2_400)
+        clock[0] = 10.0
+        tracker(0, 1_900, 2_530)  # 100 targets, 130 visits in this run
+        line = tracker.render_line()
+        assert "1,900/2,000 sites (95.0%)" in line
+        assert "13.0 visits/s" in line
+        assert "ETA 10s" in line
+
     def test_render_is_rate_limited_but_finish_always_writes(self):
         sink = _Sink()
         tracker = ProgressTracker(
@@ -326,7 +334,7 @@ class TestWellNestedProperty:
         """Any enter/exit/record sequence yields a well-nested forest:
         every child's interval lies within its parent's, and the tree
         walk visits every span exactly once."""
-        rec = SpanRecorder()
+        rec = Recorder()
         time = 0.0
         for action, delta in actions:
             time += delta

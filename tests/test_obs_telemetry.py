@@ -9,79 +9,87 @@ from repro.obs import (
     EventKind,
     MetricsRegistry,
     MetricsSnapshot,
-    SpanRecorder,
+    Recorder,
     Telemetry,
     TelemetryExport,
-    Tracer,
+    read_span_meta,
+    read_spans,
+    read_trace,
+    read_trace_meta,
 )
 from repro.util.codec import FormatError
 
 
 def _live() -> Telemetry:
-    return Telemetry(Tracer(), MetricsRegistry(), SpanRecorder())
+    return Telemetry(Recorder(), MetricsRegistry())
 
 
 class TestTelemetry:
     def test_off_is_every_handle_disabled(self):
         off = Telemetry.OFF
-        assert not (off.tracer.enabled or off.metrics.enabled or off.spans.enabled)
+        assert not (off.recorder.enabled or off.metrics.enabled)
         assert Telemetry() == off
 
     def test_child_is_live_where_the_parent_is(self):
         child = Telemetry(metrics=MetricsRegistry()).child(0)
         assert child.metrics.enabled
-        assert not child.tracer.enabled and not child.spans.enabled
+        assert not child.recorder.enabled
 
     def test_child_handles_are_fresh(self):
         parent = _live()
-        parent.tracer.emit(EventKind.VISIT_STARTED, at=0)
+        parent.recorder.event(EventKind.VISIT_STARTED, at=0)
         child = parent.child(1)
-        assert child.tracer is not parent.tracer and len(child.tracer) == 0
+        assert child.recorder is not parent.recorder
+        assert child.recorder.events() == []
         assert child.metrics is not parent.metrics
 
     def test_child_tags_spans_and_reports_them(self):
         child = _live().child(3)
-        span = child.spans.record("visit", 0.0, 1.0)
+        child.recorder.record("visit", 0.0, 1.0)
+        (span,) = child.recorder.spans()
         assert span.fields == {"shard": 3}
-        assert child.export().spans == (span,)
+        assert child.export().recorder.spans() == [span]
 
     def test_off_exports_nothing(self):
         assert Telemetry.OFF.export() == TelemetryExport()
 
     def test_child_export_pickles_round_trip(self):
         child = _live().child(2)
-        child.tracer.emit(EventKind.VISIT_STARTED, at=5, domain="a.com")
+        child.recorder.event(EventKind.VISIT_STARTED, at=5, domain="a.com")
         child.metrics.counter("visits", outcome="ok")
         child.metrics.observe("visit_seconds", 2)
-        child.spans.enter("shard", at=0.0)
-        child.spans.record("visit", 0.0, 2.0, domain="a.com")
-        child.spans.exit(at=2.0)
+        child.recorder.enter("shard", at=0.0)
+        child.recorder.record("visit", 0.0, 2.0, domain="a.com")
+        child.recorder.exit(at=2.0)
         exported = child.export()
-        assert pickle.loads(pickle.dumps(exported)) == exported
-        assert [event.fields for event in exported.events] == [{"domain": "a.com"}]
-        assert exported.metrics.counter_value("visits", outcome="ok") == 1
-        assert {span.fields["shard"] for span in exported.spans} == {2}
+        rebuilt = pickle.loads(pickle.dumps(exported))
+        assert rebuilt.metrics == exported.metrics
+        assert rebuilt.recorder.held() == exported.recorder.held()
+        recorder = rebuilt.recorder
+        assert [event.fields for event in recorder.events()] == [{"domain": "a.com"}]
+        assert rebuilt.metrics.counter_value("visits", outcome="ok") == 1
+        assert {span.fields["shard"] for span in recorder.spans()} == {2}
 
     def test_listener_free_child_pickles(self):
         stand_in = _live().child()
         rebuilt = pickle.loads(pickle.dumps(stand_in))
-        assert rebuilt.child(0).spans.enabled
+        assert rebuilt.child(0).recorder.enabled
 
 
 def _trace_file(tmp_path):
-    tracer = Tracer()
-    tracer.emit(EventKind.VISIT_STARTED, at=1, domain="a.com")
-    tracer.emit(EventKind.VISIT_FINISHED, at=2, domain="a.com", ok=True)
+    recorder = Recorder()
+    recorder.event(EventKind.VISIT_STARTED, at=1, domain="a.com")
+    recorder.event(EventKind.VISIT_FINISHED, at=2, domain="a.com", ok=True)
     path = tmp_path / "trace.jsonl"
-    tracer.to_jsonl(path)
+    recorder.write(trace=path)
     return path
 
 
 def _span_file(tmp_path):
-    spans = SpanRecorder()
-    spans.record("visit", 0.0, 1.0)
+    recorder = Recorder()
+    recorder.record("visit", 0.0, 1.0)
     path = tmp_path / "spans.jsonl"
-    spans.to_jsonl(path)
+    recorder.write(spans=path)
     return path
 
 
@@ -114,7 +122,7 @@ class TestFailClosedReaders:
         path = _trace_file(tmp_path)
         _append(path, line)
         with pytest.raises(FormatError, match=reason) as caught:
-            Tracer.read_jsonl(path)
+            read_trace(path)
         assert (caught.value.path, caught.value.line) == (str(path), 4)
         assert str(caught.value).startswith(f"{path}:4: ")
 
@@ -122,14 +130,14 @@ class TestFailClosedReaders:
         path = tmp_path / "trace.jsonl"
         path.write_text('{"meta": {"emitted": "many", "dropped": 0, "capacity": 1}}\n')
         with pytest.raises(FormatError, match="'emitted'") as caught:
-            Tracer.read_meta(path)
+            read_trace_meta(path)
         assert caught.value.line == 1
 
     def test_non_utf8_trace(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_bytes(b'{"seq": 0, "at": 0, "kind": "\xff"}\n')
         with pytest.raises(FormatError, match="not UTF-8"):
-            Tracer.read_jsonl(path)
+            read_trace(path)
 
     @pytest.mark.parametrize(
         "line",
@@ -144,14 +152,14 @@ class TestFailClosedReaders:
         path = _span_file(tmp_path)
         _append(path, line)
         with pytest.raises(FormatError) as caught:
-            SpanRecorder.read_jsonl(path)
+            read_spans(path)
         assert (caught.value.path, caught.value.line) == (str(path), 3)
 
     def test_span_meta_missing_field(self, tmp_path):
         path = tmp_path / "spans.jsonl"
         path.write_text('{"meta": {"recorded": 1, "dropped": 0}}\n')
         with pytest.raises(FormatError, match="'capacity'"):
-            SpanRecorder.read_meta(path)
+            read_span_meta(path)
 
     @pytest.mark.parametrize(
         "payload, reason",
@@ -194,8 +202,8 @@ class TestFailClosedReaders:
         assert str(copy) == "trace.jsonl:3: bad"
 
     def test_intact_files_still_load(self, tmp_path):
-        assert len(Tracer.read_jsonl(_trace_file(tmp_path))) == 2
-        assert len(SpanRecorder.read_jsonl(_span_file(tmp_path))) == 1
+        assert len(read_trace(_trace_file(tmp_path))) == 2
+        assert len(read_spans(_span_file(tmp_path))) == 1
         registry = MetricsRegistry()
         registry.counter("visits")
         registry.snapshot().save(tmp_path / "metrics.json")

@@ -9,7 +9,7 @@ for both built-in matchers, every backend, and any shard count.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs import MetricsRegistry, SpanRecorder, Telemetry
+from repro.obs import MetricsRegistry, Recorder, Telemetry
 from repro.obs.spans import SPAN_REID_LINKAGE
 from repro.privacy.attack import (
     LINKAGE_STRATEGIES,
@@ -176,16 +176,16 @@ class TestStrategySelection:
 
 class TestObservability:
     def test_span_records_strategy_and_work(self):
-        spans = SpanRecorder()
+        recorder = Recorder()
         views = [[(user % 4,)] for user in range(SPARSE_MIN_POPULATION)]
         link_profiles(
             views,
             views,
             SequenceMatcher(),
             backend="serial",
-            telemetry=Telemetry(spans=spans),
+            telemetry=Telemetry(recorder=recorder),
         )
-        (span,) = spans.spans(SPAN_REID_LINKAGE)
+        (span,) = recorder.spans(SPAN_REID_LINKAGE)
         assert span.fields["strategy"] == "sparse"
         assert span.fields["users"] == SPARSE_MIN_POPULATION
         assert span.fields["pairs_scored"] > 0

@@ -16,7 +16,7 @@ from repro.crawler.parallel import ShardedCrawl
 from repro.crawler.crawl import Crawl
 from repro.crawler.executor import CrashSchedule, ShardFailedError
 from repro.crawler.resumable import ResumableCrawl
-from repro.obs import EventKind, MetricsRegistry, SpanRecorder, Telemetry, Tracer
+from repro.obs import EventKind, MetricsRegistry, Recorder, Telemetry
 from repro.obs.spans import (
     SPAN_CHECKPOINT_RESTORE,
     SPAN_CHECKPOINT_WRITE,
@@ -91,7 +91,7 @@ class TestCrashResume:
 
     @pytest.fixture(scope="class")
     def crashed(self, resume_world, tmp_path_factory):
-        tracer, metrics, spans = Tracer(), MetricsRegistry(), SpanRecorder()
+        recorder, metrics = Recorder(), MetricsRegistry()
         outcome = ResumableCrawl(
             resume_world,
             tmp_path_factory.mktemp("crashed"),
@@ -100,17 +100,17 @@ class TestCrashResume:
             # Kill shard 1 twice: attempt 1 dies at visit 60 (after the
             # 50-visit checkpoint), attempt 2 at visit 130 (after 100).
             fault_injector=_crash_shard_at(1, {1: 60, 2: 130}),
-            telemetry=Telemetry(tracer, metrics, spans),
+            telemetry=Telemetry(recorder, metrics),
         ).run()
-        return outcome, tracer, metrics, spans
+        return outcome, recorder, metrics
 
     def test_datasets_byte_identical(self, crashed, baseline):
-        outcome, _, _, _ = crashed
+        outcome, _, _ = crashed
         assert _jsonl(outcome.result.d_ba) == _jsonl(baseline.d_ba)
         assert _jsonl(outcome.result.d_aa) == _jsonl(baseline.d_aa)
 
     def test_report_identical(self, crashed, baseline):
-        outcome, _, _, _ = crashed
+        outcome, _, _ = crashed
         assert outcome.result.report.ok == baseline.report.ok
         assert outcome.result.report.failed == baseline.report.failed
         assert outcome.result.report.accepted == baseline.report.accepted
@@ -119,13 +119,13 @@ class TestCrashResume:
         )
 
     def test_retries_resumed_from_checkpoints(self, crashed):
-        outcome, _, _, _ = crashed
+        outcome, _, _ = crashed
         assert [r.resumed_from for r in outcome.retries] == [50, 100]
         assert [r.backoff_seconds for r in outcome.retries] == [30, 60]
         assert outcome.partial is None
 
     def test_metrics_record_recovery(self, crashed):
-        _, _, metrics, _ = crashed
+        _, _, metrics = crashed
         snapshot = metrics.snapshot()
         assert snapshot.counter_total("shard_retries_total") == 2
         assert snapshot.counter_total("checkpoint_restores_total") == 2
@@ -137,18 +137,18 @@ class TestCrashResume:
         # retries appear; an attempt's own restore event dies with it if
         # the attempt later crashes (only metrics ride in checkpoints),
         # so exactly the final attempt's restore is visible.
-        _, tracer, _, _ = crashed
-        kinds = tracer.counts_by_kind()
+        _, recorder, _ = crashed
+        kinds = recorder.counts_by_kind()
         assert kinds[EventKind.SHARD_RETRIED.value] == 2
         assert kinds[EventKind.CHECKPOINT_RESTORED.value] >= 1
         assert kinds[EventKind.CHECKPOINT_WRITTEN.value] > 0
 
     def test_spans_record_recovery(self, crashed):
-        _, _, _, spans = crashed
-        assert len(spans.spans(SPAN_SHARD_RETRY)) == 2
-        assert len(spans.spans(SPAN_CHECKPOINT_RESTORE)) >= 1
-        assert len(spans.spans(SPAN_CHECKPOINT_WRITE)) > 0
-        retry = spans.spans(SPAN_SHARD_RETRY)[0]
+        _, recorder, _ = crashed
+        assert len(recorder.spans(SPAN_SHARD_RETRY)) == 2
+        assert len(recorder.spans(SPAN_CHECKPOINT_RESTORE)) >= 1
+        assert len(recorder.spans(SPAN_CHECKPOINT_WRITE)) > 0
+        retry = recorder.spans(SPAN_SHARD_RETRY)[0]
         assert retry.fields["shard"] == 1
 
 

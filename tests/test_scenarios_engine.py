@@ -1,5 +1,6 @@
 """Sweep engine end-to-end: determinism, crash injection, resume."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -206,3 +207,37 @@ class TestCrashAndResume:
         )
         assert first.cells[0].cell_id not in outcome.resumed_cells
         assert len(outcome.resumed_cells) == 3
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            {"cell_id": 7},
+            {"metrics": {"ok": "lots"}},
+            {"metrics": []},
+            {"duration_seconds": "12"},
+            {"surplus": 1},
+        ],
+        ids=[
+            "int-cell-id",
+            "string-metric",
+            "metrics-array",
+            "string-duration",
+            "surplus",
+        ],
+    )
+    def test_resume_reruns_defective_markers(self, tmp_path, defect):
+        """A marker is read through its field table: a defective one is not
+        coerced into a result, so its cell re-runs even though its
+        fingerprint and archive digest still match."""
+        spec = tiny_spec()
+        first = run_sweep(spec, tmp_path / "sweep", backend="serial")
+        cell_dir = tmp_path / "sweep" / "cells" / first.cells[0].cell_id
+        marker_path = cell_dir / CELL_MARKER_FILE
+        marker = json.loads(marker_path.read_text())
+        marker_path.write_text(json.dumps({**marker, **defect}))
+        assert load_cell_marker(cell_dir) is None
+
+        outcome = run_sweep(spec, tmp_path / "sweep", backend="serial", resume=True)
+        assert first.cells[0].cell_id not in outcome.resumed_cells
+        assert len(outcome.resumed_cells) == 3
+        assert load_cell_marker(cell_dir) is not None

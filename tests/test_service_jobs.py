@@ -26,6 +26,20 @@ class TestJobSpecTypes:
         with pytest.raises(JobSpecError, match=f"{field} must be an integer"):
             JobSpec.from_dict({field: value})
 
+    @pytest.mark.parametrize(
+        "payload, pattern",
+        [
+            ({"corrupt_allowlist": "no"}, "corrupt_allowlist must be a boolean"),
+            ({"stream_results": "no"}, "stream_results must be a boolean"),
+            ({"stream_results": 1}, "stream_results must be a boolean"),
+            ({"backend": 5}, "backend must be a string or null"),
+            ({"vantage": ["eu"]}, "vantage must be a string"),
+        ],
+    )
+    def test_mistyped_field_is_rejected(self, payload, pattern):
+        with pytest.raises(JobSpecError, match=pattern):
+            JobSpec.from_dict(payload)
+
     def test_optional_integer_fields_accept_null(self):
         spec = JobSpec.from_dict({"limit": None, "max_workers": None})
         assert spec.limit is None and spec.max_workers is None

@@ -164,10 +164,14 @@ class TestRoundTrips:
                 b'{"op": "submit", "spec": {"fault": {"kill_service": "no"}}}',
                 "fault: field 'kill_service' has the wrong type",
             ),
+            (
+                b'{"op": "submit", "spec": {"sites": 50, "corrupt_allowlist": "no"}}',
+                "corrupt_allowlist must be a boolean, got string",
+            ),
         ],
         ids=[
             "array", "string", "array-spec", "name-list-spec", "array-since",
-            "mistyped-fault",
+            "mistyped-fault", "mistyped-flag",
         ],
     )
     def test_malformed_requests_get_an_error_reply(self, harness, line, error):

@@ -18,7 +18,7 @@ import pytest
 from repro.crawler.archive import save_crawl
 from repro.crawler.resumable import ResumableCrawl
 from repro.crawler.wellknown import AttestationProbe
-from repro.obs import MetricsRegistry, SpanRecorder, Telemetry, Tracer
+from repro.obs import MetricsRegistry, Recorder, Telemetry
 from repro.validate import (
     RULE_REGISTRY,
     CrawlArtifacts,
@@ -38,7 +38,7 @@ RULES_SITES = 240
 def pristine_archive(tmp_path_factory):
     """One instrumented, checkpointed campaign archived with every artefact."""
     world = WebGenerator(WorldConfig.small(RULES_SITES, seed=13)).generate()
-    tracer, metrics, spans = Tracer(), MetricsRegistry(), SpanRecorder()
+    recorder, metrics = Recorder(), MetricsRegistry()
     archive = tmp_path_factory.mktemp("pristine") / "archive"
     outcome = ResumableCrawl(
         world,
@@ -46,10 +46,10 @@ def pristine_archive(tmp_path_factory):
         shard_count=3,
         checkpoint_every=25,
         backend="serial",
-        telemetry=Telemetry(tracer, metrics, spans),
+        telemetry=Telemetry(recorder, metrics),
     ).run()
     save_crawl(outcome.result, archive)
-    tracer.to_jsonl(archive / "trace.jsonl")
+    recorder.write(trace=archive / "trace.jsonl")
     metrics.snapshot().save(archive / "metrics.json")
     assert outcome.partial is None  # campaign completed
     return archive

@@ -17,7 +17,7 @@ import pytest
 from repro.browser.browser import Browser
 from repro.browser.context import ScriptOriginMode
 from repro.crawler.campaign import CrawlCampaign
-from repro.obs import EventKind, MetricsRegistry, SpanRecorder, Telemetry, Tracer
+from repro.obs import EventKind, MetricsRegistry, Recorder, Telemetry
 from repro.obs.spans import SPAN_NAVIGATE
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -65,8 +65,8 @@ class TestCompileMatchesPageWalk:
 class TestInstrumentedVisitsReplayPlans:
     def test_instrumented_visit_compiles_its_plan(self):
         world = WebGenerator(WorldConfig.small(150, seed=23)).generate()
-        tracer, metrics, spans = Tracer(), MetricsRegistry(), SpanRecorder()
-        browser = Browser(world, telemetry=Telemetry(tracer, metrics, spans))
+        recorder, metrics = Recorder(), MetricsRegistry()
+        browser = Browser(world, telemetry=Telemetry(recorder, metrics))
         domain = next(
             site.domain
             for site in world.websites
@@ -78,9 +78,9 @@ class TestInstrumentedVisitsReplayPlans:
         outcome = browser.visit(domain, consent_granted=True)
         assert outcome.ok
         plan = planner._plans[(domain, True)]
-        (finished,) = tracer.events(EventKind.VISIT_FINISHED)
+        (finished,) = recorder.events(EventKind.VISIT_FINISHED)
         assert finished.fields["third_parties"] == len(plan.third_parties)
-        (navigate,) = spans.spans(SPAN_NAVIGATE)
+        (navigate,) = recorder.spans(SPAN_NAVIGATE)
         assert navigate.fields["fetches"] == plan.fetches
 
 
@@ -91,7 +91,7 @@ class TestTelemetryTransparency:
         traced = CrawlCampaign(
             world,
             corrupt_allowlist=True,
-            telemetry=Telemetry(Tracer(), MetricsRegistry(), SpanRecorder()),
+            telemetry=Telemetry(Recorder(), MetricsRegistry()),
         ).run()
 
         assert bare.d_ba.records == traced.d_ba.records
