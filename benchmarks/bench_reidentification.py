@@ -7,10 +7,12 @@ the two canonical curves: accuracy vs observation epochs and accuracy vs
 noise rate, both against the spec's 5% deployed noise.
 The population-scale benches (``test_reid_throughput``,
 ``test_reid_scaling``) measure the data plane itself: sharded columnar
-trace generation plus the sparse linkage ranker.  ``REPRO_BENCH_REID_USERS``
-sets the gated population (default 1,000); ``REPRO_BENCH_REID_SCALES`` is a
-comma-separated population list for the scaling curve (default
-``250,500,1000`` — pass ``1000,10000,100000`` for the full study).
+trace generation plus the sparse linkage ranker; ``test_population_generate``
+reports (ungated) the population build a study starts from.
+``REPRO_BENCH_REID_USERS`` sets their population (default 1,000);
+``REPRO_BENCH_REID_SCALES`` is a comma-separated population list for the
+scaling curve (default ``250,500,1000`` — pass ``1000,10000,100000`` for
+the full study).
 """
 
 import os
@@ -25,6 +27,7 @@ from repro.privacy.experiment import (
     sweep_epochs,
     sweep_noise,
 )
+from repro.users.population import Population
 
 _BASE = ReidentificationConfig(population_size=80, observation_epochs=4)
 
@@ -86,6 +89,28 @@ def test_reid_throughput(benchmark):
         "on the process backend)",
     )
     assert result.uplift_over_random > 10
+
+
+def test_population_generate(benchmark):
+    """Population build rate (users/sec) at ``REPRO_BENCH_REID_USERS``.
+
+    Reported, not gated: ``Population.generate`` is a study's set-up (one
+    profile per user, drawn over the taxonomy's roots and descendants),
+    and every process worker rebuilds it before its first trace shard.
+    """
+    population = benchmark.pedantic(
+        Population.generate, args=(REID_USERS,), rounds=3, iterations=1
+    )
+    elapsed = benchmark.stats.stats.median
+    users_per_second = REID_USERS / elapsed if elapsed else 0.0
+    benchmark.extra_info["users"] = REID_USERS
+    benchmark.extra_info["population_users_per_second"] = users_per_second
+    show(
+        "Population build",
+        f"{REID_USERS:,} users generated in {elapsed:.3f}s (median of 3; "
+        f"{users_per_second:,.0f} users/sec)",
+    )
+    assert len(population) == REID_USERS
 
 
 def test_reid_scaling(benchmark):

@@ -53,6 +53,8 @@ class EpochTopicsSelector:
             raise ValueError(f"noise probability out of range: {noise_probability}")
         self._classifier = classifier
         self._taxonomy = taxonomy or classifier.taxonomy
+        #: the taxonomy's ids, ascending: the pad and noise-topic alphabet.
+        self._all_ids = self._taxonomy.all_ids()
         self._user_seed = user_seed
         self._taxonomy_version = taxonomy_version
         self._model_version = model_version
@@ -87,7 +89,7 @@ class EpochTopicsSelector:
         ranked = [topic for topic, _ in counts.most_common(TOP_TOPICS_PER_EPOCH)]
         padded = len(ranked) < TOP_TOPICS_PER_EPOCH
         position = 0
-        all_ids = self._taxonomy.all_ids()
+        all_ids = self._all_ids
         while len(ranked) < TOP_TOPICS_PER_EPOCH:
             filler = all_ids[
                 stable_digest(str(self._user_seed), "pad", str(epoch), str(position))
@@ -177,7 +179,7 @@ class EpochTopicsSelector:
         )
 
     def _random_topic(self, caller: str, epoch: int) -> Topic:
-        all_ids = self._taxonomy.all_ids()
+        all_ids = self._all_ids
         topic_id = all_ids[
             stable_digest(str(self._user_seed), "noise-topic", str(epoch), caller)
             % len(all_ids)

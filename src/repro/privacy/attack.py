@@ -17,8 +17,8 @@ Two ranking strategies produce identical ranks:
   scored through the matcher object.  Kept as the small-N fallback and
   as the oracle the equivalence tests pin against.
 * ``sparse`` — the population-scale path for the two built-in matchers:
-  every epoch view is encoded as a packed-int bitset over the observed
-  topic alphabet (pair scores are popcounts of ANDed bitsets), and an
+  every user's view is encoded as one packed-int bitset over the observed
+  topic alphabet (a pair score is one popcount of ANDed bitsets), and an
   inverted topic→users index prunes each user's candidate list to those
   sharing at least one topic.  The true match's score is computed once;
   a candidate scoring below it can never affect the rank, and with a
@@ -140,8 +140,12 @@ class _SparseLinkage:
     """One linkage instance encoded as bitsets plus an inverted index.
 
     Topics observed anywhere in either view are assigned bit positions;
-    each epoch view (``sequence``) or per-user topic union (``overlap``)
-    becomes one Python int, so pair scores are popcounts of ANDed ints.
+    each user's view becomes one Python int, so a pair score is one
+    popcount of two ANDed ints.  ``overlap`` encodes the user's topic
+    union; ``sequence`` packs the per-epoch bitsets side by side, epoch
+    ``e`` in the lane at bit offset ``e * width`` (``width`` the alphabet
+    size), so the lanes never overlap and the popcount of an AND is the
+    sum of per-epoch intersections over the epochs both views hold.
     The inverted index maps an (epoch, topic) cell — or a bare topic for
     ``overlap`` — to the B-side users holding it: exactly the candidates
     that can score above zero against an A-side view containing it.
@@ -176,34 +180,40 @@ class _SparseLinkage:
         self.mode = mode
         self.size = len(views_a)
         bit_of: dict[int, int] = {}
+        for view in (*views_a, *views_b):
+            for epoch in view:
+                for topic in epoch:
+                    bit_of.setdefault(topic, len(bit_of))
 
-        def bitset(topics: "Sequence[int] | set[int]") -> int:
+        def bitset(topics: "Sequence[int] | set[int]", offset: int = 0) -> int:
             bits = 0
             for topic in topics:
-                bit = bit_of.get(topic)
-                if bit is None:
-                    bit = len(bit_of)
-                    bit_of[topic] = bit
-                bits |= 1 << bit
+                bits |= 1 << (bit_of[topic] + offset)
             return bits
 
         if mode == "sequence":
-            # Per-user, per-epoch bitsets; index keyed by (epoch, topic).
-            self.a_bits = [
-                tuple(bitset(set(epoch)) for epoch in view) for view in views_a
-            ]
-            self.b_bits = [
-                tuple(bitset(set(epoch)) for epoch in view) for view in views_b
-            ]
+            # One int per user, epoch ``e`` in the lane at bit offset
+            # ``e * width``; index keyed by (epoch, topic).
+            width = len(bit_of)
+
+            def packed(view: "tuple[tuple[int, ...], ...]") -> int:
+                bits = 0
+                for position, epoch in enumerate(view):
+                    bits |= bitset(epoch, position * width)
+                return bits
+
             self.a_topics = [
                 tuple(tuple(set(epoch)) for epoch in view) for view in views_a
             ]
+            b_topics = [tuple(tuple(set(epoch)) for epoch in view) for view in views_b]
+            self.a_bits = [packed(view) for view in self.a_topics]
+            self.b_bits = [packed(view) for view in b_topics]
             self.a_counts = ()
             self.b_counts = ()
             index: dict[tuple[int, int], array] = {}
-            for user, view in enumerate(views_b):
+            for user, view in enumerate(b_topics):
                 for position, epoch in enumerate(view):
-                    for topic in set(epoch):
+                    for topic in epoch:
                         key = (position, topic)
                         holders = index.get(key)
                         if holders is None:
@@ -235,12 +245,6 @@ class _SparseLinkage:
             self.index = topic_index
 
     # -- scoring ---------------------------------------------------------------
-
-    def _score_sequence(self, user: int, candidate: int) -> int:
-        return sum(
-            (bits_a & bits_b).bit_count()
-            for bits_a, bits_b in zip(self.a_bits[user], self.b_bits[candidate])
-        )
 
     def _score_overlap(self, user: int, candidate: int) -> float:
         count_a = self.a_counts[user]
@@ -274,15 +278,20 @@ class _SparseLinkage:
         Returns ``(ranks, pairs_scored, candidates_pruned)`` so callers
         can aggregate work metrics across shards.
         """
-        score = (
-            self._score_sequence if self.mode == "sequence" else self._score_overlap
-        )
+        sequence = self.mode == "sequence"
+        score = self._score_overlap
+        a_bits = self.a_bits
+        b_bits = self.b_bits
         impostors = self.size - 1
         ranks = array("q")
         pairs_scored = 0
         candidates_pruned = 0
         for user in range(start, stop):
-            true_score = score(user, user)
+            bits = a_bits[user]
+            if sequence:
+                true_score = (bits & b_bits[user]).bit_count()
+            else:
+                true_score = score(user, user)
             pairs_scored += 1
             if true_score <= 0:
                 # Every impostor scores >= 0 >= the true score, so the
@@ -296,9 +305,18 @@ class _SparseLinkage:
             # and can never reach a positive true score.
             candidates_pruned += impostors - len(candidates)
             pairs_scored += len(candidates)
-            better_or_equal = sum(
-                1 for candidate in candidates if score(user, candidate) >= true_score
-            )
+            if sequence:
+                better_or_equal = sum(
+                    1
+                    for candidate in candidates
+                    if (bits & b_bits[candidate]).bit_count() >= true_score
+                )
+            else:
+                better_or_equal = sum(
+                    1
+                    for candidate in candidates
+                    if score(user, candidate) >= true_score
+                )
             ranks.append(better_or_equal + 1)
         return ranks, pairs_scored, candidates_pruned
 

@@ -45,7 +45,8 @@ from repro.service.jobs import JobRecord, JobSpec, JobSpecError
 from repro.service.service import CrawlService
 from repro.util.codec import json_type
 
-#: Cap on one request line; a campaign spec is tiny, anything bigger is abuse.
+#: Cap on one request line (the server's stream limit); a campaign spec is
+#: tiny, anything bigger is abuse and gets a "request too large" reply.
 MAX_REQUEST_BYTES = 1 << 20
 
 
@@ -73,7 +74,7 @@ class ServiceServer:
         if self._socket_path.exists():
             self._socket_path.unlink()
         self._server = await asyncio.start_unix_server(
-            self._handle, path=str(self._socket_path)
+            self._handle, path=str(self._socket_path), limit=MAX_REQUEST_BYTES
         )
 
     async def serve_until_shutdown(self) -> None:
@@ -101,15 +102,17 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            line = await reader.readline()
-            if not line:
-                return
-            if len(line) > MAX_REQUEST_BYTES:
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # The line ran past the stream limit, MAX_REQUEST_BYTES.
                 await self._send(writer, {"ok": False, "error": "request too large"})
+                return
+            if not line:
                 return
             try:
                 request = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 await self._send(
                     writer, {"ok": False, "error": f"bad JSON: {exc}"}
                 )

@@ -41,7 +41,12 @@ class TopicNode:
 
 
 class TaxonomyTree:
-    """Immutable lookup structure over a set of :class:`TopicNode` entries."""
+    """Immutable lookup structure over a set of :class:`TopicNode` entries.
+
+    Every structural answer (id order, roots, parents, descendants) is
+    computed once at construction; the list-returning accessors hand out
+    a fresh copy, so a caller may mutate what it gets.
+    """
 
     def __init__(self, entries: Iterable[TopicNode]) -> None:
         self._by_id: dict[int, TopicNode] = {}
@@ -56,16 +61,33 @@ class TaxonomyTree:
                 raise ValueError(f"malformed topic path {node.path!r}")
             self._by_id[node.topic_id] = node
             self._by_path[node.path] = node
-        for node in self._by_id.values():
+        self._ids: tuple[int, ...] = tuple(sorted(self._by_id))
+        self._nodes: tuple[TopicNode, ...] = tuple(self._by_id[i] for i in self._ids)
+        self._parent: dict[int, TopicNode | None] = {}
+        for node in self._nodes:
             parent_path = node.parent_path
             if parent_path is None:
+                self._parent[node.topic_id] = None
                 continue
             parent = self._by_path.get(parent_path)
             if parent is None:
                 raise ValueError(f"topic {node.path!r} has no parent entry")
+            self._parent[node.topic_id] = parent
             self._children.setdefault(parent.topic_id, []).append(node.topic_id)
-        for child_ids in self._children.values():
-            child_ids.sort()
+        self._roots: tuple[TopicNode, ...] = tuple(
+            node for node in self._nodes if self._parent[node.topic_id] is None
+        )
+        # Visiting nodes in id order appends each to every ancestor's
+        # list, so each descendant list comes out already in id order.
+        descendants: dict[int, list[TopicNode]] = {}
+        for node in self._nodes:
+            ancestor = self._parent[node.topic_id]
+            while ancestor is not None:
+                descendants.setdefault(ancestor.topic_id, []).append(node)
+                ancestor = self._parent[ancestor.topic_id]
+        self._descendants: dict[int, tuple[TopicNode, ...]] = {
+            topic_id: tuple(nodes) for topic_id, nodes in descendants.items()
+        }
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -74,7 +96,7 @@ class TaxonomyTree:
         return topic_id in self._by_id
 
     def __iter__(self) -> Iterator[TopicNode]:
-        return iter(sorted(self._by_id.values(), key=lambda n: n.topic_id))
+        return iter(self._nodes)
 
     def get(self, topic_id: int) -> TopicNode:
         """Node by id; raises KeyError for unknown ids."""
@@ -86,14 +108,11 @@ class TaxonomyTree:
 
     def all_ids(self) -> list[int]:
         """All topic ids, ascending."""
-        return sorted(self._by_id)
+        return list(self._ids)
 
     def roots(self) -> list[TopicNode]:
-        """The top-level categories."""
-        return sorted(
-            (n for n in self._by_id.values() if n.parent_path is None),
-            key=lambda n: n.topic_id,
-        )
+        """The top-level categories, in id order."""
+        return list(self._roots)
 
     def children(self, topic_id: int) -> list[TopicNode]:
         """Direct children of a node (empty list for leaves)."""
@@ -101,8 +120,7 @@ class TaxonomyTree:
 
     def parent(self, topic_id: int) -> TopicNode | None:
         """Parent node, or None for roots."""
-        parent_path = self._by_id[topic_id].parent_path
-        return self._by_path[parent_path] if parent_path else None
+        return self._parent[topic_id]
 
     def ancestors(self, topic_id: int) -> list[TopicNode]:
         """Ancestor chain from the node's parent up to its root category."""
@@ -120,13 +138,7 @@ class TaxonomyTree:
 
     def descendants(self, topic_id: int) -> list[TopicNode]:
         """All strict descendants of a node, in id order."""
-        collected: list[TopicNode] = []
-        frontier = list(self._children.get(topic_id, []))
-        while frontier:
-            current = frontier.pop()
-            collected.append(self._by_id[current])
-            frontier.extend(self._children.get(current, []))
-        return sorted(collected, key=lambda n: n.topic_id)
+        return list(self._descendants.get(topic_id, ()))
 
 
 def load_default_taxonomy() -> TaxonomyTree:

@@ -31,6 +31,18 @@ paired_views = st.integers(min_value=1, max_value=12).flatmap(
     )
 )
 
+#: Wide alphabet + up to 8 epochs → a packed sequence view often runs
+#: past one 64-bit word, and past 64 topics per lane; ids 1–8 recur, so
+#: pairs still share topics and tie.  A and B draw their epoch counts
+#: independently, so views of unequal length meet, and epochs may be empty.
+wide_topic = st.one_of(st.integers(1, 8), st.integers(1, 700))
+wide_view = st.lists(
+    st.lists(wide_topic, max_size=6).map(tuple), min_size=1, max_size=8
+)
+wide_paired_views = st.lists(
+    st.tuples(wide_view, wide_view), min_size=1, max_size=12
+).map(lambda pairs: ([a for a, _ in pairs], [b for _, b in pairs]))
+
 
 class TestSparseDenseEquivalence:
     @given(paired_views)
@@ -56,6 +68,21 @@ class TestSparseDenseEquivalence:
             TopicOverlapMatcher(),
             strategy="sparse",
             backend="serial",
+        )
+        assert dense.true_match_ranks == sparse.true_match_ranks
+
+    @pytest.mark.parametrize(
+        "matcher",
+        [SequenceMatcher(), TopicOverlapMatcher()],
+        ids=lambda matcher: type(matcher).__name__,
+    )
+    @given(views=wide_paired_views)
+    @settings(max_examples=50, deadline=None)
+    def test_wide_alphabet_ranks_identical(self, matcher, views):
+        views_a, views_b = views
+        dense = link_profiles(views_a, views_b, matcher, strategy="dense")
+        sparse = link_profiles(
+            views_a, views_b, matcher, strategy="sparse", backend="serial"
         )
         assert dense.true_match_ranks == sparse.true_match_ranks
 

@@ -22,6 +22,7 @@ from repro.service import (
     ServiceClientError,
     ServiceServer,
 )
+from repro.service.protocol import MAX_REQUEST_BYTES
 
 SITES = 90
 SPEC = {"sites": SITES, "seed": 2, "shards": 2, "checkpoint_every": 20}
@@ -66,12 +67,20 @@ class ServiceHarness:
         await server.serve_until_shutdown()
 
 
-def _raw_request(socket_path: Path, line: bytes) -> dict:
-    """Send one raw request line; return the decoded reply line."""
+def _raw_request(socket_path: Path, data: bytes) -> dict:
+    """Send raw request bytes, then end the stream; return the reply line.
+
+    The server may answer an oversized line and close before it has read
+    all of it, so a send cut short by the close still reads the reply.
+    """
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
         sock.settimeout(30)
         sock.connect(str(socket_path))
-        sock.sendall(line + b"\n")
+        try:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
         with sock.makefile("r", encoding="utf-8") as stream:
             reply = stream.readline()
     assert reply, "the server closed the connection without a reply"
@@ -155,23 +164,34 @@ class TestRoundTrips:
     @pytest.mark.parametrize(
         "line, error",
         [
-            (b"[1]", "request must be a JSON object, got array"),
-            (b'"x"', "request must be a JSON object, got string"),
-            (b'{"op": "submit", "spec": [1]}', "job spec must be a JSON object"),
-            (b'{"op": "submit", "spec": ["sites"]}', "job spec must be a JSON object"),
-            (b'{"op": "watch", "job_id": "job-000001", "since": [1]}', "int()"),
+            (b"[1]\n", "request must be a JSON object, got array"),
+            (b'"x"\n', "request must be a JSON object, got string"),
+            (b'{"op": "submit", "spec": [1]}\n', "job spec must be a JSON object"),
             (
-                b'{"op": "submit", "spec": {"fault": {"kill_service": "no"}}}',
+                b'{"op": "submit", "spec": ["sites"]}\n',
+                "job spec must be a JSON object",
+            ),
+            (b'{"op": "watch", "job_id": "job-000001", "since": [1]}\n', "int()"),
+            (
+                b'{"op": "submit", "spec": {"fault": {"kill_service": "no"}}}\n',
                 "fault: field 'kill_service' has the wrong type",
             ),
             (
-                b'{"op": "submit", "spec": {"sites": 50, "corrupt_allowlist": "no"}}',
+                b'{"op": "submit", "spec": {"sites": 50, "corrupt_allowlist": "no"}}\n',
                 "corrupt_allowlist must be a boolean, got string",
             ),
+            (
+                b'{"op": "ping", "pad": "' + b"x" * MAX_REQUEST_BYTES + b'"}\n',
+                "request too large",
+            ),
+            (b'{"op": "ping"', "bad JSON"),
+            (b'{"op": "\xff\xfe"}\n', "bad JSON: 'utf-8' codec can't decode"),
+            (b'{"op": "Ping"}\n', "unknown op: 'Ping'"),
         ],
         ids=[
             "array", "string", "array-spec", "name-list-spec", "array-since",
-            "mistyped-fault", "mistyped-flag",
+            "mistyped-fault", "mistyped-flag", "oversized", "eof-no-newline",
+            "non-utf8", "unknown-op",
         ],
     )
     def test_malformed_requests_get_an_error_reply(self, harness, line, error):
@@ -179,7 +199,10 @@ class TestRoundTrips:
         assert reply["ok"] is False
         assert error in reply["error"]
         # The server is still serving.
-        assert ServiceClient(harness.socket_path).ping()
+        client = ServiceClient(harness.socket_path)
+        assert client.ping()
+        with pytest.raises(ServiceClientError, match="no such job"):
+            client.status("job-000001")
 
     def test_cancel_over_the_socket(self, harness):
         client = ServiceClient(harness.socket_path)

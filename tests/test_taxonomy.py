@@ -111,6 +111,66 @@ class TestTaxonomyTree:
             TaxonomyTree([TopicNode(1, "no-slash")])
 
 
+class TestIndexedAnswers:
+    """The tree indexes its answers once; each must equal the per-call
+    algorithm it replaced, recomputed here from the raw entries."""
+
+    @pytest.fixture(scope="class")
+    def nodes(self) -> list[TopicNode]:
+        return [TopicNode(topic_id, path) for topic_id, path in taxonomy_entries()]
+
+    def test_all_ids(self, taxonomy, nodes):
+        assert taxonomy.all_ids() == sorted(node.topic_id for node in nodes)
+
+    def test_roots(self, taxonomy, nodes):
+        expected = sorted(
+            (node for node in nodes if node.parent_path is None),
+            key=lambda node: node.topic_id,
+        )
+        assert taxonomy.roots() == expected
+
+    def test_parent_and_descendants_of_every_node(self, taxonomy, nodes):
+        by_id = {node.topic_id: node for node in nodes}
+        by_path = {node.path: node for node in nodes}
+        children: dict[int, list[int]] = {}
+        for node in nodes:
+            if node.parent_path is not None:
+                parent_id = by_path[node.parent_path].topic_id
+                children.setdefault(parent_id, []).append(node.topic_id)
+        for node in nodes:
+            expected_parent = (
+                by_path[node.parent_path] if node.parent_path is not None else None
+            )
+            assert taxonomy.parent(node.topic_id) == expected_parent
+            collected: list[TopicNode] = []
+            frontier = list(children.get(node.topic_id, []))
+            while frontier:
+                current = frontier.pop()
+                collected.append(by_id[current])
+                frontier.extend(children.get(current, []))
+            assert taxonomy.descendants(node.topic_id) == sorted(
+                collected, key=lambda found: found.topic_id
+            )
+
+    def test_returned_lists_are_fresh_copies(self):
+        tree = load_default_taxonomy()
+        sports = tree.by_path("/Sports").topic_id
+        accessors = (
+            tree.all_ids,
+            tree.roots,
+            lambda: tree.descendants(sports),
+            lambda: tree.children(sports),
+        )
+        for accessor in accessors:
+            first = accessor()
+            expected = list(first)
+            first.reverse()
+            first.append(first[0])
+            assert accessor() == expected
+            accessor().clear()
+            assert accessor() == expected
+
+
 class TestClassifier:
     def test_deterministic(self, taxonomy):
         classifier = SiteClassifier(taxonomy)
